@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -81,9 +82,17 @@ Workload make_workload(const DatasetSpec& spec, double scale, GnnKind kind,
   return w;
 }
 
-InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg) {
-  GnnieEngine engine(cfg);
-  return engine.run(w.model, w.weights, w.data.graph, w.data.features, w.sampled).report;
+InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg, CachePolicyKind policy) {
+  // Borrow the workload's weights (no-op deleter) instead of copying them:
+  // the compiled model dies inside this call, well within w's lifetime.
+  std::shared_ptr<const GnnWeights> weights(&w.weights, [](const GnnWeights*) {});
+  const CompiledModel compiled =
+      Engine(cfg, CachePolicy::make(policy)).compile(w.model, std::move(weights));
+  RunRequest request;
+  request.plan = w.model.kind == GnnKind::kGraphSage ? compiled.plan(w.data.graph, w.sampled)
+                                                     : compiled.plan(w.data.graph);
+  request.features = &w.data.features;
+  return compiled.run(request).report;
 }
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {

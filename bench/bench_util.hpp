@@ -8,7 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/cache_policy.hpp"
+#include "core/serving.hpp"
 #include "datasets/spec.hpp"
 #include "datasets/synthetic.hpp"
 #include "nn/layers.hpp"
@@ -56,8 +57,11 @@ struct Workload {
 Workload make_workload(const DatasetSpec& spec, double scale, GnnKind kind,
                        std::uint64_t seed);
 
-/// Runs GNNIE and returns the report (output discarded).
-InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg);
+/// Runs GNNIE under `cfg` and cache policy `policy` (compile → plan → run)
+/// and returns the report (output discarded). w.sampled is used only by
+/// GraphSAGE workloads.
+InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg,
+                          CachePolicyKind policy = CachePolicyKind::kDegreeAware);
 
 /// Runs fn(i) for every i in [0, count) across hardware threads (atomic
 /// work-stealing; falls back to the calling thread when count is small or

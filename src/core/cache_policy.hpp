@@ -22,19 +22,17 @@
 //     offline-optimal replacement over the deterministic access sequence —
 //     the upper bound every heuristic's hit rate is reported against.
 //
-// AggregationEngine dispatches through this interface; the deprecated
-// OptimizationFlags::degree_aware_cache / CacheConfig::on_demand_baseline
-// booleans are mapped through kind_from_flags() for legacy callers. The
-// degree-aware kind stays the default everywhere; the new kinds are
+// AggregationEngine dispatches through this interface. The degree-aware
+// kind is the default everywhere (default_policy()); every other kind is
 // strictly opt-in.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
-#include "core/engine_config.hpp"
 #include "graph/csr.hpp"
 
 namespace gnnie {
@@ -93,11 +91,9 @@ class CachePolicy {
   static std::unique_ptr<CachePolicy> make_set_aware(std::uint32_t associativity,
                                                      std::uint32_t block_vertices);
 
-  /// Mapping from the deprecated config booleans, for callers still on the
-  /// GnnieEngine shim: degree_aware_cache → kDegreeAware; otherwise
-  /// on_demand_baseline picks kOnDemand over kIdOrder.
-  static CachePolicyKind kind_from_flags(const OptimizationFlags& opts,
-                                         const CacheConfig& cache);
+  /// The shared degree-aware instance every caller that names no policy
+  /// runs under (a null Engine policy, a null AggregationTask::policy).
+  static const std::shared_ptr<const CachePolicy>& default_policy();
 };
 
 }  // namespace gnnie

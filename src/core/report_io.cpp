@@ -81,17 +81,15 @@ std::string report_to_json(const InferenceReport& report) {
 
 void write_serving_report_json(std::ostream& out, const ServingReport& report) {
   const std::vector<Cycles> latencies = report.sorted_latencies();  // sort once
-  // Version 1 is the pre-SLO shape plus this version field; version 2 adds
-  // the fleet/SLO blocks and the per-record deadline/shed fields; version 3
-  // adds the pipeline/plan-variant blocks and the per-record variant width.
-  // Reports from simulations with those features off keep the lowest shape
-  // that describes them, so existing consumers keep parsing unchanged
-  // output.
-  const bool variants = !report.variant_counts.empty();
-  const int schema_version = report.pipeline_enabled || variants ? 3
-                             : report.slo_enabled || report.heterogeneous ? 2
-                                                                          : 1;
-  out << "{\"schema_version\":" << schema_version << ",\"dies\":" << report.dies
+  // One shape for every report: each feature block and per-record field is
+  // present whether or not the feature ran (a disabled feature reports its
+  // neutral values), so consumers never branch on the enabled feature set.
+  const auto write_list = [&out](const auto& values) {
+    out << '[';
+    for (std::size_t i = 0; i < values.size(); ++i) out << (i == 0 ? "" : ",") << values[i];
+    out << ']';
+  };
+  out << "{\"schema_version\":" << kServingSchemaVersion << ",\"dies\":" << report.dies
       << ",\"scheduler\":\"" << report.scheduler
       << "\",\"requests\":" << report.requests.size() << ",\"clock_hz\":" << report.clock_hz
       << ",\"makespan_cycles\":" << report.makespan
@@ -105,114 +103,74 @@ void write_serving_report_json(std::ostream& out, const ServingReport& report) {
   for (std::size_t d = 0; d < report.die_busy_cycles.size(); ++d) {
     out << (d == 0 ? "" : ",") << report.die_utilization(d);
   }
-  out << "]";
-  if (report.heterogeneous) {
-    // Fleet rollup: the lineup's provisioning cost and each die's config
-    // label (serve/fleet.hpp). Homogeneous reports keep the version-1 shape.
-    out << ",\"fleet_cost\":" << report.fleet_cost << ",\"die_labels\":[";
-    for (std::size_t d = 0; d < report.die_labels.size(); ++d) {
-      out << (d == 0 ? "" : ",") << '"' << report.die_labels[d] << '"';
-    }
-    out << "]";
+  // Fleet rollup (serve/fleet.hpp): the lineup's provisioning cost and each
+  // die's config label.
+  out << "],\"heterogeneous\":" << (report.heterogeneous ? "true" : "false")
+      << ",\"fleet_cost\":" << report.fleet_cost << ",\"die_labels\":[";
+  for (std::size_t d = 0; d < report.die_labels.size(); ++d) {
+    out << (d == 0 ? "" : ",") << '"' << report.die_labels[d] << '"';
   }
-  out << ",\"warmth_enabled\":" << (report.warmth_enabled ? "true" : "false");
-  if (report.warmth_enabled) {
-    // Warmth rollup: hit rates, swap counts, and the warm/cold latency
-    // split. Emitted only when the model ran, so warmth-disabled reports
-    // keep the pre-warmth JSON shape.
-    out << ",\"warm_hit_rate\":" << report.warm_hit_rate()
-        << ",\"plan_swaps\":" << report.total_plan_swaps()
-        << ",\"warm_p50_latency_cycles\":" << report.warm_latency_percentile(50.0)
-        << ",\"warm_p99_latency_cycles\":" << report.warm_latency_percentile(99.0)
-        << ",\"cold_p50_latency_cycles\":" << report.cold_latency_percentile(50.0)
-        << ",\"cold_p99_latency_cycles\":" << report.cold_latency_percentile(99.0)
-        << ",\"die_warm_hit_rate\":[";
-    for (std::size_t d = 0; d < report.die_warm_hits.size(); ++d) {
-      out << (d == 0 ? "" : ",") << report.die_warm_hit_rate(d);
-    }
-    out << "],\"die_plan_swaps\":[";
-    for (std::size_t d = 0; d < report.die_plan_swaps.size(); ++d) {
-      out << (d == 0 ? "" : ",") << report.die_plan_swaps[d];
-    }
-    out << "]";
+  // Warmth rollup: hit rates, swap counts, and the warm/cold latency split.
+  out << "],\"warmth_enabled\":" << (report.warmth_enabled ? "true" : "false")
+      << ",\"warm_hit_rate\":" << report.warm_hit_rate()
+      << ",\"plan_swaps\":" << report.total_plan_swaps()
+      << ",\"warm_p50_latency_cycles\":" << report.warm_latency_percentile(50.0)
+      << ",\"warm_p99_latency_cycles\":" << report.warm_latency_percentile(99.0)
+      << ",\"cold_p50_latency_cycles\":" << report.cold_latency_percentile(50.0)
+      << ",\"cold_p99_latency_cycles\":" << report.cold_latency_percentile(99.0)
+      << ",\"die_warm_hit_rate\":[";
+  for (std::size_t d = 0; d < report.die_warm_hits.size(); ++d) {
+    out << (d == 0 ? "" : ",") << report.die_warm_hit_rate(d);
   }
-  if (report.max_coalesce > 1) {
-    // Coalescing rollup: emitted only when the run could coalesce, so
-    // max_coalesce = 1 reports keep the pre-batching JSON shape.
-    out << ",\"max_coalesce\":" << report.max_coalesce
-        << ",\"coalesce_rate\":" << report.coalesce_rate()
-        << ",\"service_groups\":" << report.total_groups()
-        << ",\"mean_batch_size\":" << report.mean_batch_size()
-        << ",\"weighting_cycles_saved\":" << report.weighting_cycles_saved
-        << ",\"batch_size_counts\":[";
-    for (std::size_t b = 0; b < report.batch_size_counts.size(); ++b) {
-      out << (b == 0 ? "" : ",") << report.batch_size_counts[b];
-    }
-    out << "]";
+  out << "],\"die_plan_swaps\":";
+  write_list(report.die_plan_swaps);
+  // Coalescing rollup.
+  out << ",\"max_coalesce\":" << report.max_coalesce
+      << ",\"coalesce_rate\":" << report.coalesce_rate()
+      << ",\"service_groups\":" << report.total_groups()
+      << ",\"mean_batch_size\":" << report.mean_batch_size()
+      << ",\"weighting_cycles_saved\":" << report.weighting_cycles_saved
+      << ",\"batch_size_counts\":";
+  write_list(report.batch_size_counts);
+  // Pipelining rollup: the stream-track cycles the two-track timeline hid
+  // under compute, and each die's stream-track occupancy.
+  out << ",\"pipeline_enabled\":" << (report.pipeline_enabled ? "true" : "false")
+      << ",\"pipeline_hidden_cycles\":" << report.pipeline_hidden_cycles
+      << ",\"die_stream_cycles\":";
+  write_list(report.die_stream_cycles);
+  // Plan-variant rollup: how many service slots each family width won at
+  // dispatch (empty when no variant family was configured).
+  out << ",\"variant_counts\":[";
+  for (std::size_t v = 0; v < report.variant_counts.size(); ++v) {
+    out << (v == 0 ? "" : ",") << "{\"width\":" << report.variant_counts[v].first
+        << ",\"slots\":" << report.variant_counts[v].second << "}";
   }
-  if (report.pipeline_enabled) {
-    // Pipelining rollup: the stream-track cycles the two-track timeline hid
-    // under compute, and each die's stream-track occupancy. Emitted only
-    // when the pipeline model ran, so single-track reports keep their
-    // pre-pipeline shape.
-    out << ",\"pipeline_enabled\":true"
-        << ",\"pipeline_hidden_cycles\":" << report.pipeline_hidden_cycles
-        << ",\"die_stream_cycles\":[";
-    for (std::size_t d = 0; d < report.die_stream_cycles.size(); ++d) {
-      out << (d == 0 ? "" : ",") << report.die_stream_cycles[d];
-    }
-    out << "]";
+  // SLO rollup: attainment overall, per stream, and per die, plus the shed
+  // counter (serve/slo.hpp). Attainment is 1 when nothing carried an SLO.
+  out << "],\"slo_enabled\":" << (report.slo_enabled ? "true" : "false")
+      << ",\"shed_requests\":" << report.shed_count()
+      << ",\"slo_requests\":" << report.slo_request_count()
+      << ",\"slo_attainment\":" << report.slo_attainment()
+      << ",\"stream_slo_attainment\":[";
+  for (std::size_t s = 0; s < report.streams; ++s) {
+    out << (s == 0 ? "" : ",") << report.stream_slo_attainment(s);
   }
-  if (variants) {
-    // Plan-variant rollup: how many service slots each family width won at
-    // dispatch. Emitted only when a variant family was configured.
-    out << ",\"variant_counts\":[";
-    for (std::size_t v = 0; v < report.variant_counts.size(); ++v) {
-      out << (v == 0 ? "" : ",") << "{\"width\":" << report.variant_counts[v].first
-          << ",\"slots\":" << report.variant_counts[v].second << "}";
-    }
-    out << "]";
+  out << "],\"die_slo_attainment\":[";
+  for (std::size_t d = 0; d < report.dies; ++d) {
+    out << (d == 0 ? "" : ",") << report.die_slo_attainment(d);
   }
-  if (report.slo_enabled) {
-    // SLO rollup: attainment overall, per stream, and per die, plus the
-    // shed counter (serve/slo.hpp). Emitted only for deadline-carrying
-    // traces, so SLO-less reports keep the version-1 shape.
-    out << ",\"shed_requests\":" << report.shed_count()
-        << ",\"slo_requests\":" << report.slo_request_count()
-        << ",\"slo_attainment\":" << report.slo_attainment()
-        << ",\"stream_slo_attainment\":[";
-    for (std::size_t s = 0; s < report.streams; ++s) {
-      out << (s == 0 ? "" : ",") << report.stream_slo_attainment(s);
-    }
-    out << "],\"die_slo_attainment\":[";
-    for (std::size_t d = 0; d < report.dies; ++d) {
-      out << (d == 0 ? "" : ",") << report.die_slo_attainment(d);
-    }
-    out << "]";
-  }
-  out << ",\"records\":[";
+  out << "],\"records\":[";
   for (std::size_t i = 0; i < report.requests.size(); ++i) {
     const RequestRecord& r = report.requests[i];
+    // deadline 0 = this request carries no SLO. A shed record's start and
+    // finish both hold the shed time and its die is unattributed (0).
     out << (i == 0 ? "" : ",") << "{\"stream\":" << r.stream << ",\"die\":" << r.die
         << ",\"arrival\":" << r.arrival << ",\"start\":" << r.start
-        << ",\"finish\":" << r.finish;
-    if (report.warmth_enabled) {
-      out << ",\"warm_fraction\":" << r.warm_fraction
-          << ",\"plan_swap\":" << (r.plan_swap ? "true" : "false");
-    }
-    if (report.max_coalesce > 1) {
-      out << ",\"group_size\":" << r.group_size;
-    }
-    if (variants) {
-      out << ",\"variant_width\":" << r.variant_width;
-    }
-    if (report.slo_enabled) {
-      // deadline 0 = this request carries no SLO. A shed record's start and
-      // finish both hold the shed time and its die is unattributed (0).
-      out << ",\"deadline\":" << r.deadline
-          << ",\"shed\":" << (r.shed ? "true" : "false");
-    }
-    out << "}";
+        << ",\"finish\":" << r.finish << ",\"warm_fraction\":" << r.warm_fraction
+        << ",\"plan_swap\":" << (r.plan_swap ? "true" : "false")
+        << ",\"group_size\":" << r.group_size << ",\"variant_width\":" << r.variant_width
+        << ",\"deadline\":" << r.deadline << ",\"shed\":" << (r.shed ? "true" : "false")
+        << "}";
   }
   out << "]}";
 }

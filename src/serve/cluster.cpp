@@ -46,8 +46,8 @@ Cluster::Cluster(const CompiledModel& reference, FleetSpec spec)
                   "fleet configs must match the reference pipeline enablement");
     GNNIE_REQUIRE(cfg.engine.pipeline.variant_widths == ref.pipeline.variant_widths,
                   "fleet configs must match the reference plan-variant widths");
-    // Per-die cache policy: an explicit kind overrides the config-derived
-    // default (null → Engine falls back to the deprecated booleans).
+    // Per-die cache policy: an explicit kind overrides the degree-aware
+    // default (null → Engine uses CachePolicy::default_policy).
     std::shared_ptr<const CachePolicy> policy;
     if (cfg.cache_policy.has_value()) {
       policy = std::shared_ptr<const CachePolicy>(CachePolicy::make(*cfg.cache_policy));
@@ -181,17 +181,6 @@ ServingReport Cluster::simulate(const RequestTrace& trace,
   return simulate_impl(trace, *scheduler, *admission);
 }
 
-// DEPRECATED shims — delegate to the one real loop, bit-exact.
-ServingReport Cluster::simulate(const RequestTrace& trace,
-                                const Scheduler& scheduler) const {
-  return simulate_impl(trace, scheduler, AdmissionPolicy::admit_all());
-}
-
-ServingReport Cluster::simulate(const RequestTrace& trace, const Scheduler& scheduler,
-                                const AdmissionPolicy& admission) const {
-  return simulate_impl(trace, scheduler, admission);
-}
-
 ServingReport Cluster::simulate_impl(const RequestTrace& trace,
                                      const Scheduler& scheduler,
                                      const AdmissionPolicy& admission) const {
@@ -214,8 +203,8 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
     config_family.push_back(
         plan_variant_family(fleet ? spec_.configs[c].engine : config));
   }
-  // A family of one unbounded zero-setup variant is today's slot semantics
-  // — dispatch is a no-op and the report keeps its legacy shape.
+  // A family of one unbounded zero-setup variant is the plain slot model —
+  // dispatch is a no-op and the report carries no variant counters.
   const bool variants_on =
       config_family.front().size() > 1 || config_family.front().front().width != 0;
 
@@ -230,7 +219,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   report.die_plan_swaps.assign(die_count_, 0);
   report.max_coalesce = max_coalesce;
   report.pipeline_enabled = pipeline_on;
-  if (pipeline_on) report.die_stream_cycles.assign(die_count_, 0);
+  report.die_stream_cycles.assign(die_count_, 0);
   if (variants_on) {
     // One counter per configured width, family order — the reference
     // family's widths (pinned across the fleet).
@@ -318,8 +307,8 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
         entry.working_set = routed.plan->warm_working_set_bytes();
         // One staged cold cost query per triple: entry.cost.head carries
         // the cold/warm/stage-split scalars, entry.cost.warm_stages the
-        // exact per-stage warmth surface (warm_total(f) reproduces the
-        // legacy per-report discount bit-for-bit). Policy gating (warmth
+        // exact per-stage warmth surface (warm_total(f) reproduces
+        // apply_warmth_discount on the cold report bit-for-bit). Policy gating (warmth
         // off, coalescing off) happens at charge/estimate time, not here —
         // the entry is policy-independent by design.
         entry.cost = (fleet ? config_models_[cfg] : model_).cost(routed);

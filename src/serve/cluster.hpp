@@ -36,10 +36,12 @@
 // Service costs are memoized per distinct (die config, plan, features)
 // triple — open-loop traces repeat the same stream request many times, and
 // re-simulating a bit-identical run to rediscover its cycle count would
-// dominate the simulation. The memo is exact, not an approximation, because
-// runs are stateless — so it lives in a cluster-lifetime ServiceCostCache
-// (serve/cost_cache.hpp) shared by every simulate() call on this cluster:
-// a latency-vs-load sweep costs each triple once, at its first load point.
+// dominate the simulation. Runs are stateless, so the memo lives in a
+// cluster-lifetime ServiceCostCache (serve/cost_cache.hpp) shared by every
+// simulate() call on this cluster: a latency-vs-load sweep costs each
+// triple once, at its first load point. The memo keys plan and features by
+// address, so it is exact only while the features and plan graphs it
+// costed are not mutated in place for the cluster's lifetime.
 // simulate() is const and thread-safe — the cache fill takes a mutex, the
 // plan cache is internally locked, and all other simulation state is
 // call-local — so independent sweep cells over one cluster may run on
@@ -60,7 +62,7 @@
 // service it drains up to max_coalesce waiting requests sharing the head
 // request's plan fingerprint — first from its own queue, then from the
 // global queue — into one atomic slot, modeled as a single weighting/setup
-// pass plus per-request aggregation (the run_cost_batch slot model,
+// pass plus per-request aggregation (the CostQuery::coalesce slot model,
 // core/serving.hpp): followers skip the weight-stream share of their
 // weighting stages' exposed memory time. Warmth residency is touched once
 // per slot (the head pays any swap; followers see the post-load fraction),
@@ -120,8 +122,8 @@
 // first passes the AdmissionPolicy, which may shed the request — recorded
 // with shed = true, start = finish = the shed time, no die attribution,
 // and counted against SLO attainment but never in latency percentiles.
-// The default admit-all policy sheds nothing and is bit-exact with the
-// admission-unaware simulate overload.
+// The default admit-all policy sheds nothing, so every offered request is
+// serviced.
 #pragma once
 
 #include <cstdint>
@@ -141,12 +143,11 @@ class ServiceCostCache;
 
 /// Options for Cluster::simulate, designed for designated initializers:
 /// `cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware})`.
-/// The default-constructed value reproduces the historical two-argument
-/// FIFO/admit-all behavior exactly. The custom_* pointers override the
+/// The default-constructed value is FIFO scheduling with admit-all
+/// admission. The custom_* pointers override the
 /// corresponding kind when non-null (for caller-owned policy objects, e.g.
 /// a scheduler shared across sweep cells); the pointee must outlive the
-/// simulate call. This is the one simulate entry point — the positional
-/// scheduler/admission overloads are deprecated shims over it.
+/// simulate call.
 struct SimulateOptions {
   SchedulerKind scheduler = SchedulerKind::kFifo;
   AdmissionKind admission = AdmissionKind::kAdmitAll;
@@ -178,21 +179,9 @@ class Cluster {
 
   /// Runs the trace over this cluster and returns the per-request records
   /// plus the tail-latency/utilization/SLO rollup. Scheduling and admission
-  /// come from `options` (default: FIFO, admit-all — byte-identical to the
-  /// historical simulate(trace, scheduler) overloads with those policies).
+  /// come from `options` (default: FIFO, admit-all).
   ServingReport simulate(const RequestTrace& trace,
                          const SimulateOptions& options = {}) const;
-
-  /// DEPRECATED shim: equivalent to simulate(trace, {.custom_scheduler =
-  /// &scheduler}). Kept bit-exact for existing callers; new code uses the
-  /// SimulateOptions overload.
-  ServingReport simulate(const RequestTrace& trace, const Scheduler& scheduler) const;
-
-  /// DEPRECATED shim: equivalent to simulate(trace, {.custom_scheduler =
-  /// &scheduler, .custom_admission = &admission}). Kept bit-exact for
-  /// existing callers; new code uses the SimulateOptions overload.
-  ServingReport simulate(const RequestTrace& trace, const Scheduler& scheduler,
-                         const AdmissionPolicy& admission) const;
 
   /// Distinct (die config, plan, features) triples costed so far by this
   /// cluster's ServiceCostCache — across all simulate() calls. A sweep that
@@ -200,8 +189,7 @@ class Cluster {
   std::size_t costed_triples() const;
 
  private:
-  /// The one real simulation loop; every public simulate overload resolves
-  /// its policies and lands here.
+  /// The simulation loop, over the policies simulate() resolved.
   ServingReport simulate_impl(const RequestTrace& trace, const Scheduler& scheduler,
                               const AdmissionPolicy& admission) const;
 
@@ -218,8 +206,11 @@ class Cluster {
   std::vector<double> config_scale_;
   bool heterogeneous_ = false;
   /// Cluster-lifetime (config, plan, features) → service-cost cache, shared
-  /// by every simulate() call (and by copies of this cluster — entries are
-  /// exact, so sharing is always safe). shared_ptr keeps Cluster copyable.
+  /// by every simulate() call and by copies of this cluster. Entries are
+  /// keyed by address, so they are exact only while the features and plan
+  /// graphs they costed are not mutated in place; a caller must not mutate
+  /// them while this cluster (or a copy) is alive. shared_ptr keeps Cluster
+  /// copyable.
   std::shared_ptr<ServiceCostCache> cost_cache_;
 };
 

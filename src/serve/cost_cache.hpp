@@ -2,8 +2,12 @@
 //
 // A serving simulation's hot loop charges every request the cycle count a
 // lone run() of its (die config, plan, features) triple would report. Runs
-// are stateless, so that number is a pure function of the triple — the
-// cache is exact, not an approximation. Lifting it out of simulate() and
+// are stateless, so that number is a pure function of the triple's
+// *contents*. The key, however, holds the plan and features by address:
+// an entry is exact only while neither object is mutated in place. A
+// SparseMatrix or plan graph reassigned in place while a cluster that
+// costed it is alive is charged its stale cost — callers must not do that
+// (build a new object instead). Lifting the cache out of simulate() and
 // into the Cluster lets every sweep cell (each load point, each scheduler,
 // each seed) over the same cluster reuse the costs the first cell computed:
 // a latency-vs-load sweep re-costs nothing after its first point, and

@@ -37,9 +37,8 @@ struct FleetDieConfig {
   EngineConfig engine;
   double cost = 1.0;
   std::string label;  ///< shown in reports; e.g. "A", "E", "big"
-  /// Cache policy the dies built from this config run. nullopt → derived
-  /// from the engine config's (deprecated) booleans, i.e. the degree-aware
-  /// default — so existing fleets are untouched. Setting it makes the
+  /// Cache policy the dies built from this config run. nullopt → the
+  /// degree-aware default. Setting it makes the
   /// policy a per-die provisioning knob: a fleet can mix, say, dual-cache
   /// dies for skewed workloads with degree-aware dies for the rest, and the
   /// cluster's service memo prices each request per die accordingly.

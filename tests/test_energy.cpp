@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/hygcn.hpp"
-#include "core/engine.hpp"
+#include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "energy/energy_model.hpp"
 #include "nn/layers.hpp"
@@ -18,8 +18,8 @@ InferenceReport run_gcn_report(double scale = 0.2) {
   m.kind = GnnKind::kGcn;
   m.input_dim = d.spec.feature_length;
   GnnWeights w = init_weights(m, 7);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  return engine.run(m, w, d.graph, d.features).report;
+  const CompiledModel compiled = Engine(EngineConfig::paper_default(false)).compile(m, w);
+  return compiled.run({compiled.plan(d.graph), &d.features}).report;
 }
 
 TEST(Energy, BreakdownSumsToTotal) {
@@ -93,8 +93,8 @@ TEST(Energy, GnnieBeatsHygcnOnEfficiency) {
   m.kind = GnnKind::kGcn;
   m.input_dim = d.spec.feature_length;
   GnnWeights w = init_weights(m, 7);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceReport rep = engine.run(m, w, d.graph, d.features).report;
+  const CompiledModel compiled = Engine(EngineConfig::paper_default(false)).compile(m, w);
+  InferenceReport rep = compiled.run({compiled.plan(d.graph), &d.features}).report;
   EnergyBreakdown e = compute_energy(rep);
 
   HygcnModel hygcn;

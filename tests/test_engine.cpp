@@ -1,9 +1,12 @@
-// End-to-end tests for GnnieEngine: functional equivalence against the
-// reference forward pass for all five GNNs, report sanity, determinism,
+// End-to-end tests for compile → plan → run: functional equivalence against
+// the reference forward pass for all five GNNs, report sanity, determinism,
 // and configuration effects on inference time.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include <memory>
+
+#include "core/cache_policy.hpp"
+#include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "nn/layers.hpp"
 #include "nn/reference.hpp"
@@ -30,12 +33,18 @@ struct Fixture {
       }
     }
   }
+
+  /// One inference of this fixture on `engine`.
+  InferenceResult run(const Engine& engine) const {
+    const CompiledModel compiled = engine.compile(model, weights);
+    return compiled.run({compiled.plan(data.graph, sampled), &data.features});
+  }
 };
 
 float run_and_compare(const Fixture& f, const EngineConfig& cfg,
-                      InferenceReport* report = nullptr) {
-  GnnieEngine engine(cfg);
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
+                      InferenceReport* report = nullptr,
+                      std::shared_ptr<const CachePolicy> policy = nullptr) {
+  InferenceResult res = f.run(Engine(cfg, std::move(policy)));
   Matrix want =
       reference_forward(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
   if (report != nullptr) *report = res.report;
@@ -66,7 +75,8 @@ TEST_P(EngineEquivalence, MatchesReferenceWithAllOptimizationsOff) {
   EngineConfig cfg = EngineConfig::paper_default(false);
   cfg.array = ArrayConfig::design_a();
   cfg.opts = OptimizationFlags::all_off();
-  EXPECT_LT(run_and_compare(f, cfg), 2e-3f);
+  EXPECT_LT(run_and_compare(f, cfg, nullptr, CachePolicy::make(CachePolicyKind::kIdOrder)),
+            2e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGnns, EngineEquivalence,
@@ -75,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(AllGnns, EngineEquivalence,
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(Engine, PeakTopsMatchesPaper) {
-  GnnieEngine e(EngineConfig::paper_default(true));
+  Engine e(EngineConfig::paper_default(true));
   // 1216 MACs × 2 ops × 1.3 GHz = 3.16 TOPS (Table IV reports 3.17).
   EXPECT_NEAR(e.peak_tops(), 3.16, 0.03);
 }
@@ -83,10 +93,8 @@ TEST(Engine, PeakTopsMatchesPaper) {
 TEST(Engine, DeterministicAcrossRuns) {
   Fixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
-  InferenceReport a, b;
-  GnnieEngine e1(cfg), e2(cfg);
-  InferenceResult r1 = e1.run(f.model, f.weights, f.data.graph, f.data.features);
-  InferenceResult r2 = e2.run(f.model, f.weights, f.data.graph, f.data.features);
+  InferenceResult r1 = f.run(Engine(cfg));
+  InferenceResult r2 = f.run(Engine(cfg));
   EXPECT_EQ(r1.report.total_cycles, r2.report.total_cycles);
   EXPECT_EQ(Matrix::max_abs_diff(r1.output, r2.output), 0.0f);
 }
@@ -96,9 +104,11 @@ TEST(Engine, BackToBackRunsOnOneEngineReportIdenticalStats) {
   // runs, so a second run's InferenceReport.dram included the first run's
   // traffic. Runs are stateless now — identical requests, identical stats.
   Fixture f(GnnKind::kGcn);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult r1 = engine.run(f.model, f.weights, f.data.graph, f.data.features);
-  InferenceResult r2 = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  const CompiledModel compiled =
+      Engine(EngineConfig::paper_default(false)).compile(f.model, f.weights);
+  const RunRequest request{compiled.plan(f.data.graph), &f.data.features};
+  InferenceResult r1 = compiled.run(request);
+  InferenceResult r2 = compiled.run(request);
   EXPECT_EQ(r1.report.dram.bytes_read, r2.report.dram.bytes_read);
   EXPECT_EQ(r1.report.dram.bytes_written, r2.report.dram.bytes_written);
   EXPECT_EQ(r1.report.dram.accesses, r2.report.dram.accesses);
@@ -109,9 +119,7 @@ TEST(Engine, BackToBackRunsOnOneEngineReportIdenticalStats) {
 
 TEST(Engine, LayerReportsAreComplete) {
   Fixture f(GnnKind::kGat);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res =
-      engine.run(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
+  InferenceResult res = f.run(Engine(EngineConfig::paper_default(false)));
   ASSERT_EQ(res.report.layers.size(), 2u);
   for (const LayerReport& lr : res.report.layers) {
     EXPECT_GT(lr.weighting.total_cycles, 0u);
@@ -124,8 +132,7 @@ TEST(Engine, LayerReportsAreComplete) {
 
 TEST(Engine, GinGetsSecondLinearReport) {
   Fixture f(GnnKind::kGinConv);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  InferenceResult res = f.run(Engine(EngineConfig::paper_default(false)));
   for (const LayerReport& lr : res.report.layers) {
     ASSERT_TRUE(lr.mlp2.has_value());
     EXPECT_GT(lr.mlp2->total_cycles, 0u);
@@ -134,8 +141,7 @@ TEST(Engine, GinGetsSecondLinearReport) {
 
 TEST(Engine, DiffPoolReportsEmbedPoolAndCoarsen) {
   Fixture f(GnnKind::kDiffPool);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  InferenceResult res = f.run(Engine(EngineConfig::paper_default(false)));
   // 2 embed + 2 pool + 1 coarsen.
   EXPECT_EQ(res.report.layers.size(), 5u);
   EXPECT_EQ(res.output.rows(), f.model.pool_clusters);
@@ -152,7 +158,7 @@ TEST(Engine, OptimizationsReduceInferenceCycles) {
 
   InferenceReport rep_on, rep_off;
   run_and_compare(f, all_on, &rep_on);
-  run_and_compare(f, all_off, &rep_off);
+  run_and_compare(f, all_off, &rep_off, CachePolicy::make(CachePolicyKind::kIdOrder));
   EXPECT_LT(rep_on.total_cycles, rep_off.total_cycles);
 }
 
@@ -179,23 +185,21 @@ TEST(Engine, DramStatsPopulated) {
 
 TEST(Engine, EffectiveTopsBelowPeak) {
   Fixture f(GnnKind::kGcn, 0.2, 128);
-  EngineConfig cfg = EngineConfig::paper_default(false);
-  GnnieEngine engine(cfg);
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  Engine engine(EngineConfig::paper_default(false));
+  InferenceResult res = f.run(engine);
   EXPECT_GT(res.report.effective_tops(), 0.0);
   EXPECT_LT(res.report.effective_tops(), engine.peak_tops() * 1.001);
 }
 
 TEST(Engine, RejectsMismatchedInputs) {
   Fixture f(GnnKind::kGcn);
-  GnnieEngine engine(EngineConfig::paper_default(false));
+  Engine engine(EngineConfig::paper_default(false));
   ModelConfig bad = f.model;
   bad.input_dim += 1;
-  EXPECT_THROW(engine.run(bad, f.weights, f.data.graph, f.data.features),
-               std::invalid_argument);
+  EXPECT_THROW(engine.compile(bad, f.weights), std::invalid_argument);
   Fixture sage(GnnKind::kGraphSage);
-  EXPECT_THROW(engine.run(sage.model, sage.weights, sage.data.graph, sage.data.features, {}),
-               std::invalid_argument);
+  const CompiledModel compiled = engine.compile(sage.model, sage.weights);
+  EXPECT_THROW(compiled.plan(sage.data.graph), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // Tests for intra-die weighting/aggregation pipelining and per-shape plan
-// variants (EngineConfig::pipeline), and for the unified staged cost-query
-// API that prices them: the plan-variant family compilation, cost(CostQuery)
-// pinned field-for-field against the deprecated run_cost/run_cost_batch
-// shims, the SimulateOptions entry point pinned byte-identical against the
-// positional simulate shims, the two-track timeline's invariants (zero
-// overlap under FIFO, cycle conservation, pipelined ≤ serial per slot),
-// the ISSUE acceptance criterion that pipelining strictly improves p99 and
-// makespan on a weight-stream-heavy trace at 4 dies, variant-dispatch
-// determinism, and the version-3 serving JSON blocks.
+// variants (EngineConfig::pipeline), and for the staged cost-query API that
+// prices them: the plan-variant family compilation, cost(CostQuery) stage
+// partitions and variant dispatch, the two-track timeline's invariants
+// (zero overlap under FIFO, cycle conservation, pipelined ≤ serial per
+// slot), pipelining strictly improving p99 and makespan on a
+// weight-stream-heavy trace at 4 dies, variant-dispatch determinism, and
+// the pipeline/variant blocks of the serving JSON.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -84,42 +82,7 @@ TEST(PlanVariants, WidthsMustBeStrictlyIncreasingAndPositive) {
   EXPECT_NO_THROW(Engine(pipeline_config(false, {1, 2, 4})));
 }
 
-// --- The unified cost query vs the deprecated shims. ---
-
-TEST(CostQuery, MatchesRunCostShimAtEveryWarmFraction) {
-  ServeFixture f;
-  const RunRequest request{f.plan_a, &f.a.features};
-  for (double fraction : {0.0, 0.25, 0.5, 1.0}) {
-    const InferenceReport legacy = f.compiled.run_cost(request, fraction);
-    const ServiceCost staged = f.compiled.cost(request, fraction);
-    ASSERT_EQ(staged.request_cycles.size(), 1u);
-    EXPECT_EQ(staged.request_cycles[0], legacy.total_cycles);
-    EXPECT_EQ(staged.total_cycles, legacy.total_cycles);
-    EXPECT_EQ(staged.warm_total(fraction), legacy.total_cycles);
-    // The parametric head surface reprices exactly like the legacy
-    // warm-total helper at any other fraction too.
-    const InferenceReport cold = f.compiled.run_cost(request);
-    EXPECT_EQ(staged.head.cold_cycles, cold.total_cycles);
-    EXPECT_EQ(staged.warm_total(0.75), warm_total_cycles(cold, 0.75));
-  }
-}
-
-TEST(CostQuery, MatchesRunCostBatchShimFieldForField) {
-  ServeFixture f;
-  const RunRequest request{f.plan_a, &f.a.features};
-  for (double fraction : {0.0, 0.5, 1.0}) {
-    for (std::size_t k = 1; k <= 5; ++k) {
-      const std::vector<RunRequest> group(k, request);
-      const BatchCostReport legacy = f.compiled.run_cost_batch(group, fraction);
-      const ServiceCost staged =
-          f.compiled.cost({.requests = group, .warm_fraction = fraction});
-      EXPECT_EQ(staged.request_cycles, legacy.request_cycles);
-      EXPECT_EQ(staged.total_cycles, legacy.total_cycles);
-      EXPECT_EQ(staged.serial_cycles, legacy.serial_cycles);
-      EXPECT_EQ(staged.weighting_saved_cycles, legacy.weighting_saved_cycles);
-    }
-  }
-}
+// --- The staged cost query. ---
 
 TEST(CostQuery, StagesPartitionTheSlotAndStreamIsTheWeightingShare) {
   ServeFixture f;
@@ -157,30 +120,6 @@ TEST(CostQuery, ExplicitVariantSelectionAndDefaultDispatch) {
   // A width outside the family is a caller error.
   EXPECT_THROW(f.compiled.cost({.requests = group, .variant_width = 3}),
                std::invalid_argument);
-}
-
-// --- The SimulateOptions entry point vs the positional shims. ---
-
-TEST(SimulateOptions, ShimsAreByteIdenticalToTheOptionsEntryPoint) {
-  ServeFixture f;
-  Cluster cluster(f.compiled, 3);
-  RequestTrace trace =
-      RequestTrace::poisson({f.stream_a(), f.stream_b()}, 60, 1500.0, /*seed=*/7);
-  for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
-    const ServingReport positional = cluster.simulate(trace, *sched);
-    const ServingReport by_kind = cluster.simulate(trace, {.scheduler = kind});
-    const ServingReport by_pointer =
-        cluster.simulate(trace, {.custom_scheduler = sched.get()});
-    expect_same_records(positional, by_kind);
-    expect_same_records(positional, by_pointer);
-  }
-  // The three-argument admission shim and the default-constructed options
-  // (FIFO, admit-all) land on the same loop too.
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  const ServingReport with_admission =
-      cluster.simulate(trace, *fifo, serve::AdmissionPolicy::admit_all());
-  expect_same_records(with_admission, cluster.simulate(trace));
 }
 
 // --- The two-track timeline. ---
@@ -294,9 +233,9 @@ TEST(VariantDispatch, DefaultFamilyLeavesReportsVariantFree) {
   for (const RequestRecord& r : rep.requests) EXPECT_EQ(r.variant_width, 0u);
 }
 
-// --- The version-3 serving JSON. ---
+// --- The pipeline/variant blocks of the serving JSON. ---
 
-TEST(ServingJson, PipelineAndVariantBlocksBumpTheSchema) {
+TEST(ServingJson, PipelineAndVariantBlocksRoundTrip) {
   EngineConfig config = pipeline_config(true, {1, 4});
   config.batching.max_coalesce = 4;
   ServeFixture f(config);
@@ -306,22 +245,11 @@ TEST(ServingJson, PipelineAndVariantBlocksBumpTheSchema) {
   const ServingReport rep = Cluster(f.compiled, 2).simulate(
       trace, {.scheduler = SchedulerKind::kShortestQueue});
   const std::string json = serving_report_to_json(rep);
-  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
   EXPECT_NE(json.find("\"pipeline_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"pipeline_hidden_cycles\":"), std::string::npos);
   EXPECT_NE(json.find("\"die_stream_cycles\":["), std::string::npos);
   EXPECT_NE(json.find("\"variant_counts\":[{\"width\":1,"), std::string::npos);
   EXPECT_NE(json.find("\"variant_width\":"), std::string::npos);
-
-  // Feature off: the report keeps the lowest schema that describes it, with
-  // none of the pipeline/variant keys.
-  ServeFixture plain;
-  RequestTrace plain_trace = RequestTrace::fixed_interval({plain.stream_a()}, 4, 0);
-  const std::string v1 =
-      serving_report_to_json(Cluster(plain.compiled, 1).simulate(plain_trace));
-  EXPECT_NE(v1.find("\"schema_version\":1"), std::string::npos);
-  EXPECT_EQ(v1.find("pipeline"), std::string::npos);
-  EXPECT_EQ(v1.find("variant"), std::string::npos);
 }
 
 }  // namespace

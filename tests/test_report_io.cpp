@@ -1,15 +1,22 @@
 // Tests for report JSON export: structural validity (balanced braces,
-// required keys), numeric fidelity, and per-layer content.
+// required keys), numeric fidelity, per-layer content, and the single
+// serving-report shape (every key present whatever features ran).
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "core/report_io.hpp"
+#include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "nn/model.hpp"
+#include "serve/cluster.hpp"
+#include "serve_test_util.hpp"
 
 namespace gnnie {
 namespace {
@@ -21,8 +28,8 @@ InferenceReport make_report(GnnKind kind) {
   m.input_dim = d.spec.feature_length;
   m.hidden_dim = 16;
   GnnWeights w = init_weights(m, 3);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  return engine.run(m, w, d.graph, d.features).report;
+  const CompiledModel compiled = Engine(EngineConfig::paper_default(false)).compile(m, w);
+  return compiled.run({compiled.plan(d.graph), &d.features}).report;
 }
 
 using bench::json_braces_balanced;
@@ -116,17 +123,34 @@ TEST(ReportIo, ServingJsonNumbersMatchReport) {
   EXPECT_EQ(count, rep.requests.size());
 }
 
-TEST(ReportIo, ServingJsonWarmthDisabledKeepsLegacyShape) {
-  // Backward compatibility: a warmth-disabled report announces the flag
-  // but carries none of the warmth keys — consumers of the PR-2 shape see
-  // only additive change.
-  const std::string json = serving_report_to_json(make_serving_report());
-  EXPECT_NE(json.find("\"warmth_enabled\":false"), std::string::npos);
-  for (const char* key : {"\"warm_hit_rate\"", "\"plan_swaps\"", "\"warm_fraction\"",
-                          "\"plan_swap\"", "\"die_warm_hit_rate\"",
-                          "\"warm_p99_latency_cycles\"", "\"cold_p99_latency_cycles\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
+/// Non-overlapping occurrences of `needle` in `json`.
+std::size_t occurrences(const std::string& json, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + needle.size())) {
+    ++count;
   }
+  return count;
+}
+
+// The "legacy shape" in the name is the pre-warmth block of keys: a
+// warmth-disabled report keeps it, and since the serving JSON has one shape
+// it also writes the warmth block, at its neutral values.
+TEST(ReportIo, ServingJsonWarmthDisabledKeepsLegacyShape) {
+  const ServingReport rep = make_serving_report();
+  const std::string json = serving_report_to_json(rep);
+  EXPECT_NE(json.find("\"makespan_cycles\":" + std::to_string(rep.makespan)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"die_utilization\":["), std::string::npos);
+  EXPECT_NE(json.find("\"warmth_enabled\":false"), std::string::npos);
+  EXPECT_NE(json.find("\"plan_swaps\":0,"), std::string::npos);
+  for (const char* key : {"\"warm_hit_rate\":", "\"die_warm_hit_rate\":[",
+                          "\"die_plan_swaps\":[", "\"warm_p99_latency_cycles\":",
+                          "\"cold_p99_latency_cycles\":"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  // Every record is cold and swap-free.
+  EXPECT_EQ(occurrences(json, "\"warm_fraction\":0,\"plan_swap\":false"), rep.requests.size());
 }
 
 ServingReport make_warm_serving_report() {
@@ -182,16 +206,22 @@ TEST(ReportIo, ServingJsonWarmthFieldsRoundTrip) {
   EXPECT_NE(json.find("\"warm_fraction\":0,\"plan_swap\":true"), std::string::npos);
 }
 
+// A max_coalesce = 1 report (the default) keeps the pre-batching keys and
+// writes the batching block at its neutral values: nothing coalesced,
+// nothing saved, every record its own group.
 TEST(ReportIo, ServingJsonCoalescingDisabledKeepsLegacyShape) {
-  // A max_coalesce = 1 report (the default) carries none of the batching
-  // keys — consumers of the PR-3 shape see only additive change.
-  const std::string json = serving_report_to_json(make_serving_report());
-  for (const char* key :
-       {"\"max_coalesce\"", "\"coalesce_rate\"", "\"service_groups\"",
-        "\"mean_batch_size\"", "\"weighting_cycles_saved\"", "\"batch_size_counts\"",
-        "\"group_size\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
+  const ServingReport rep = make_serving_report();
+  const std::string json = serving_report_to_json(rep);
+  EXPECT_NE(json.find("\"scheduler\":\"fifo\""), std::string::npos);
+  for (const char* neutral :
+       {"\"max_coalesce\":1,", "\"coalesce_rate\":0,", "\"weighting_cycles_saved\":0,"}) {
+    EXPECT_NE(json.find(neutral), std::string::npos) << neutral;
   }
+  for (const char* key :
+       {"\"service_groups\":", "\"mean_batch_size\":", "\"batch_size_counts\":["}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(occurrences(json, "\"group_size\":1,"), rep.requests.size());
 }
 
 TEST(ReportIo, ServingJsonCoalescingFieldsRoundTrip) {
@@ -220,19 +250,120 @@ TEST(ReportIo, ServingJsonCoalescingFieldsRoundTrip) {
   EXPECT_EQ(count, rep.requests.size());
 }
 
-TEST(ReportIo, ServingJsonSloDisabledPinsSchemaVersion1) {
-  // Regression pin for the version-1 shape: an SLO-less homogeneous report
-  // leads with schema_version 1 and carries none of the fleet/SLO keys, so
-  // consumers of the pre-SLO JSON see only the additive version field.
-  const std::string json = serving_report_to_json(make_serving_report());
-  EXPECT_EQ(json.rfind("{\"schema_version\":1,\"dies\":", 0), 0u)
-      << "schema_version must lead the object: " << json.substr(0, 60);
-  for (const char* key :
-       {"\"fleet_cost\"", "\"die_labels\"", "\"shed_requests\"", "\"slo_requests\"",
-        "\"slo_attainment\"", "\"stream_slo_attainment\"", "\"die_slo_attainment\"",
-        "\"deadline\"", "\"shed\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
+/// Every bare (unquoted) JSON value token: numbers and true/false.
+std::vector<std::string> bare_values(const std::string& json) {
+  std::vector<std::string> values;
+  bool in_string = false;
+  std::string token;
+  for (char c : json) {
+    if (c == '"') in_string = !in_string;
+    if (!in_string && c != '"' && (std::isalnum(static_cast<unsigned char>(c)) ||
+                                   c == '.' || c == '-' || c == '+')) {
+      token += c;
+    } else if (!token.empty()) {
+      values.push_back(token);
+      token.clear();
+    }
   }
+  return values;
+}
+
+/// Entries of the flat JSON array under `key` (numbers or label strings).
+std::size_t array_length(const std::string& json, const std::string& key) {
+  const std::size_t open = json.find("\"" + key + "\":[");
+  if (open == std::string::npos) return 0;
+  const std::size_t first = open + key.size() + 4;
+  const std::size_t close = json.find(']', first);
+  if (close == first) return 0;
+  std::size_t entries = 1;
+  for (std::size_t i = first; i < close; ++i) entries += json[i] == ',' ? 1 : 0;
+  return entries;
+}
+
+// One shape for every serving report: a run with every feature off and a
+// run over an empty trace both carry every block and every per-record key,
+// lead with the one schema version, size every per-die array to the die
+// count, and contain only finite numbers.
+TEST(ReportIo, ServingJsonEveryFeatureOffWritesEveryKeyWithFiniteNumbers) {
+  test::ServeFixture f;
+  const serve::Cluster cluster(f.compiled, 3);
+  const ServingReport all_off =
+      cluster.simulate(serve::RequestTrace::fixed_interval({f.stream_a()}, 4, 0));
+  const ServingReport empty =
+      cluster.simulate(serve::RequestTrace::fixed_interval({f.stream_a()}, 0, 0));
+  for (const ServingReport* rep : {&all_off, &empty}) {
+    const std::string json = serving_report_to_json(*rep);
+    SCOPED_TRACE(json.substr(0, 200));
+    EXPECT_TRUE(json_braces_balanced(json));
+    EXPECT_EQ(json.rfind("{\"schema_version\":" + std::to_string(kServingSchemaVersion) +
+                             ",\"dies\":3,",
+                         0),
+              0u);
+    for (const char* key :
+         {"requests", "clock_hz", "makespan_seconds", "throughput_per_second",
+          "max_latency_cycles", "heterogeneous", "fleet_cost", "warmth_enabled",
+          "warm_hit_rate", "plan_swaps", "warm_p50_latency_cycles", "warm_p99_latency_cycles",
+          "cold_p50_latency_cycles", "cold_p99_latency_cycles", "max_coalesce",
+          "coalesce_rate", "service_groups", "mean_batch_size", "weighting_cycles_saved",
+          "batch_size_counts", "pipeline_enabled", "pipeline_hidden_cycles",
+          "variant_counts", "slo_enabled", "shed_requests", "slo_requests", "slo_attainment",
+          "stream_slo_attainment", "records"}) {
+      EXPECT_NE(json.find("\"" + std::string(key) + "\":"), std::string::npos) << key;
+    }
+    for (const char* per_die : {"die_utilization", "die_labels", "die_warm_hit_rate",
+                                "die_plan_swaps", "die_stream_cycles", "die_slo_attainment"}) {
+      EXPECT_EQ(array_length(json, per_die), 3u) << per_die;
+    }
+    // Disabled features write their neutral values.
+    for (const char* neutral :
+         {"\"heterogeneous\":false", "\"warmth_enabled\":false", "\"plan_swaps\":0",
+          "\"max_coalesce\":1", "\"weighting_cycles_saved\":0",
+          "\"pipeline_enabled\":false", "\"pipeline_hidden_cycles\":0",
+          "\"variant_counts\":[]", "\"slo_enabled\":false", "\"shed_requests\":0",
+          "\"slo_attainment\":1"}) {
+      EXPECT_NE(json.find(neutral), std::string::npos) << neutral;
+    }
+    for (const std::string& value : bare_values(json)) {
+      if (value == "true" || value == "false") continue;
+      char* end = nullptr;
+      const double number = std::strtod(value.c_str(), &end);
+      EXPECT_TRUE(*end == '\0' && std::isfinite(number)) << value;
+    }
+  }
+  // Every record carries every per-record key, in one fixed order.
+  const std::string json = serving_report_to_json(all_off);
+  std::size_t count = 0, pos = 0;
+  const std::string record_tail =
+      ",\"warm_fraction\":0,\"plan_swap\":false,\"group_size\":1,\"variant_width\":0,"
+      "\"deadline\":0,\"shed\":false}";
+  while ((pos = json.find(record_tail, pos)) != std::string::npos) {
+    ++count;
+    ++pos;
+  }
+  EXPECT_EQ(count, all_off.requests.size());
+  EXPECT_NE(serving_report_to_json(empty).find("\"records\":[]}"), std::string::npos);
+}
+
+// The name dates from the pre-SLO JSON, which was schema version 1. That
+// version is gone: an SLO-less homogeneous report now leads with the one
+// schema version and writes the fleet and SLO blocks at their neutral
+// values, so consumers see the same version whatever features ran.
+TEST(ReportIo, ServingJsonSloDisabledPinsSchemaVersion1) {
+  const ServingReport rep = make_serving_report();
+  const std::string json = serving_report_to_json(rep);
+  EXPECT_EQ(json.rfind("{\"schema_version\":" + std::to_string(kServingSchemaVersion) +
+                           ",\"dies\":",
+                       0),
+            0u)
+      << "schema_version must lead the object: " << json.substr(0, 60);
+  for (const char* neutral :
+       {"\"heterogeneous\":false,", "\"fleet_cost\":0,", "\"die_labels\":[]",
+        "\"slo_enabled\":false,", "\"shed_requests\":0,", "\"slo_requests\":0,",
+        "\"slo_attainment\":1,", "\"stream_slo_attainment\":[]",
+        "\"die_slo_attainment\":[1,1]"}) {
+    EXPECT_NE(json.find(neutral), std::string::npos) << neutral;
+  }
+  EXPECT_EQ(occurrences(json, "\"deadline\":0,\"shed\":false}"), rep.requests.size());
 }
 
 ServingReport make_slo_serving_report() {
@@ -254,7 +385,7 @@ TEST(ReportIo, ServingJsonSloFieldsRoundTrip) {
   const ServingReport rep = make_slo_serving_report();
   const std::string json = serving_report_to_json(rep);
   EXPECT_TRUE(json_braces_balanced(json));
-  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
+  EXPECT_NE(json.find("\"slo_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"shed_requests\":1"), std::string::npos);
   EXPECT_NE(json.find("\"slo_requests\":3"), std::string::npos);
   EXPECT_NE(json.find("\"slo_attainment\":" + json_number(rep.slo_attainment())),
@@ -282,12 +413,9 @@ TEST(ReportIo, ServingJsonFleetFieldsRoundTrip) {
   rep.die_labels = {"E", "A"};
   const std::string json = serving_report_to_json(rep);
   EXPECT_TRUE(json_braces_balanced(json));
-  // A heterogeneous fleet bumps the schema even without SLOs.
-  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
+  EXPECT_NE(json.find("\"heterogeneous\":true"), std::string::npos);
   EXPECT_NE(json.find("\"fleet_cost\":3.25"), std::string::npos);
   EXPECT_NE(json.find("\"die_labels\":[\"E\",\"A\"]"), std::string::npos);
-  // Fleet alone adds no per-record fields.
-  EXPECT_EQ(json.find("\"shed\""), std::string::npos);
 }
 
 TEST(ReportIo, WeightingJsonIncludesStreamByteSplit) {

@@ -1,11 +1,13 @@
-// Tests for the serving API (core/serving.hpp): compile-once/run-many
-// equivalence with the legacy single-shot GnnieEngine path (bit-identical
-// outputs and cycle counts), plan caching and reuse across runs, batch
-// determinism vs sequential runs, cache-policy selection through the
-// CachePolicy interface, and compile/plan/run validation.
+// Tests for the serving API (core/serving.hpp): the degree-aware default
+// cache policy (a null policy is bit-identical to an explicit degree-aware
+// one), plan caching and reuse across runs, batch determinism vs
+// sequential runs, cache-policy selection through the CachePolicy
+// interface, and compile/plan/run validation.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include <memory>
+
+#include "core/report_io.hpp"
 #include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "nn/layers.hpp"
@@ -35,29 +37,73 @@ struct Fixture {
   }
 };
 
-class ServingEquivalence : public ::testing::TestWithParam<GnnKind> {};
-
-TEST_P(ServingEquivalence, CompilePlanRunMatchesLegacyRunBitExactly) {
-  Fixture f(GetParam());
-  EngineConfig cfg = EngineConfig::paper_default(false);
-
-  GnnieEngine legacy(cfg);
-  InferenceResult want = legacy.run(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
-
-  Engine engine(cfg);
-  CompiledModel compiled = engine.compile(f.model, f.weights);
-  GraphPlanPtr plan = compiled.plan(f.data.graph, f.sampled);
-  RunRequest request{plan, &f.data.features};
-  InferenceResult got = compiled.run(request);
-
-  EXPECT_EQ(Matrix::max_abs_diff(got.output, want.output), 0.0f);
-  EXPECT_EQ(got.report.total_cycles, want.report.total_cycles);
-  EXPECT_EQ(got.report.dram.bytes_read, want.report.dram.bytes_read);
-  EXPECT_EQ(got.report.dram.bytes_written, want.report.dram.bytes_written);
-  EXPECT_EQ(got.report.total_macs, want.report.total_macs);
+/// Every field of an aggregation report, via the report JSON writer.
+std::string aggregation_json(const AggregationReport& agg) {
+  InferenceReport wrapper;
+  wrapper.layers.emplace_back();
+  wrapper.layers.back().aggregation = agg;
+  return report_to_json(wrapper);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllGnns, ServingEquivalence,
+AggKind aggregation_kind_of(GnnKind kind) {
+  switch (kind) {
+    case GnnKind::kGcn:
+    case GnnKind::kDiffPool: return AggKind::kGcnNormalizedSum;
+    case GnnKind::kGraphSage: return AggKind::kMax;
+    case GnnKind::kGat: return AggKind::kGatSoftmax;
+    case GnnKind::kGinConv: return AggKind::kPlainSum;
+  }
+  return AggKind::kPlainSum;  // unreachable
+}
+
+class DefaultPolicy : public ::testing::TestWithParam<GnnKind> {};
+
+// Naming no cache policy means exactly the degree-aware policy, at both
+// levels that accept a null one: an AggregationTask without a policy, and
+// an Engine built without one. Reports and outputs are bit-identical to an
+// explicit CachePolicy::make(kDegreeAware).
+TEST_P(DefaultPolicy, NullPolicyIsBitIdenticalToExplicitDegreeAware) {
+  Fixture f(GetParam());
+  EngineConfig cfg = EngineConfig::paper_default(false);
+  cfg.buffers.input = 16u << 10;  // evictions and rounds actually happen
+  const std::shared_ptr<const CachePolicy> degree_aware =
+      CachePolicy::make(CachePolicyKind::kDegreeAware);
+
+  // Aggregation level.
+  const VertexId v_count = f.data.graph.vertex_count();
+  const Matrix hw(v_count, 16, 0.25f);
+  const std::vector<float> e1(v_count, 0.5f), e2(v_count, -0.25f);
+  AggregationTask task;
+  task.graph = &f.data.graph;
+  task.hw = &hw;
+  task.kind = aggregation_kind_of(GetParam());
+  task.e1 = &e1;
+  task.e2 = &e2;
+  HbmModel hbm_null, hbm_explicit;
+  AggregationReport by_null, by_explicit;
+  const Matrix out_null = AggregationEngine(cfg, &hbm_null).run(task, &by_null);
+  task.policy = degree_aware.get();
+  const Matrix out_explicit = AggregationEngine(cfg, &hbm_explicit).run(task, &by_explicit);
+  EXPECT_EQ(by_null.policy, CachePolicyKind::kDegreeAware);
+  EXPECT_EQ(aggregation_json(by_null), aggregation_json(by_explicit));
+  EXPECT_EQ(Matrix::max_abs_diff(out_null, out_explicit), 0.0f);
+  EXPECT_EQ(hbm_null.stats().bytes_read, hbm_explicit.stats().bytes_read);
+
+  // Full run() level.
+  const Engine implicit_engine(cfg);
+  const Engine explicit_engine(cfg, degree_aware);
+  EXPECT_EQ(implicit_engine.cache_policy().kind(), CachePolicyKind::kDegreeAware);
+  const CompiledModel implicit_model = implicit_engine.compile(f.model, f.weights);
+  const CompiledModel explicit_model = explicit_engine.compile(f.model, f.weights);
+  const InferenceResult got =
+      implicit_model.run({implicit_model.plan(f.data.graph, f.sampled), &f.data.features});
+  const InferenceResult want =
+      explicit_model.run({explicit_model.plan(f.data.graph, f.sampled), &f.data.features});
+  EXPECT_EQ(report_to_json(got.report), report_to_json(want.report));
+  EXPECT_EQ(Matrix::max_abs_diff(got.output, want.output), 0.0f);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGnns, DefaultPolicy,
                          ::testing::Values(GnnKind::kGcn, GnnKind::kGraphSage, GnnKind::kGat,
                                            GnnKind::kGinConv, GnnKind::kDiffPool),
                          [](const auto& info) { return to_string(info.param); });
@@ -72,10 +118,10 @@ TEST(Serving, PlanIsCachedPerGraphAndReusedAcrossRuns) {
   GraphPlanPtr plan2 = compiled.plan(f.data.graph);
   EXPECT_EQ(plan1.get(), plan2.get());  // cache hit: same plan object
 
-  // One plan, several runs — outputs bit-identical to the legacy
-  // single-shot path (the ISSUE acceptance criterion).
-  GnnieEngine legacy(cfg);
-  InferenceResult want = legacy.run(f.model, f.weights, f.data.graph, f.data.features);
+  // One plan, several runs — outputs bit-identical to a fresh compile and
+  // plan of the same model and graph.
+  const CompiledModel fresh = Engine(cfg).compile(f.model, f.weights);
+  InferenceResult want = fresh.run({fresh.plan(f.data.graph), &f.data.features});
   RunRequest request{plan1, &f.data.features};
   InferenceResult r1 = compiled.run(request);
   InferenceResult r2 = compiled.run(request);
@@ -183,11 +229,12 @@ TEST(Serving, RunCostMatchesRunReportWithoutTheOutput) {
   RunRequest request{plan, &f.data.features};
 
   InferenceResult full = compiled.run(request);
-  InferenceReport cost = compiled.run_cost(request);
+  const ServiceCost cost = compiled.cost(request);
   EXPECT_EQ(cost.total_cycles, full.report.total_cycles);
-  EXPECT_EQ(cost.total_macs, full.report.total_macs);
-  EXPECT_EQ(cost.dram.bytes_read, full.report.dram.bytes_read);
-  EXPECT_EQ(cost.dram.bytes_written, full.report.dram.bytes_written);
+  EXPECT_EQ(cost.head.cold_cycles, full.report.total_cycles);
+  EXPECT_EQ(cost.weighting_cycles, weighting_stage_cycles(full.report));
+  EXPECT_EQ(cost.head.batch_saving_cycles, batch_follower_saved_cycles(full.report));
+  EXPECT_EQ(cost.head.warm_cycles, warm_total_cycles(full.report, 1.0));
 }
 
 TEST(Serving, RunBatchMatchesSequentialRuns) {
@@ -252,8 +299,7 @@ TEST_P(PolicySelection, AllCacheBehaviorsSelectableThroughTheInterface) {
   const CachePolicyKind kind = GetParam();
   Fixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
-  // No config booleans involved: the policy object alone selects the
-  // behavior (the deprecated flags stay at their defaults).
+  // The policy object alone selects the behavior.
   Engine engine(cfg, CachePolicy::make(kind));
   EXPECT_EQ(engine.cache_policy().kind(), kind);
 
