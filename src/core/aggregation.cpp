@@ -124,6 +124,32 @@ std::uint64_t accum_cycles(std::size_t f, std::uint32_t macs) {
   return div_ceil(f, macs);
 }
 
+/// mirror[e] = index of edge e's reverse entry (u→w ↦ w→u) in an
+/// undirected graph, so a processed pair marks both directions in O(1).
+/// One cursor pass, like ReverseAdjacency: visiting sources in ascending
+/// order claims each vertex's sorted neighbor list front to back. Every
+/// edge is checked, and a full pass of checks is a bijection between the
+/// two directions — i.e. it proves the graph symmetric.
+std::vector<EdgeId> mirror_edges(const Csr& g) {
+  const auto offsets = g.offsets();
+  const auto neighbors = g.neighbor_array();
+  std::vector<EdgeId> mirror(g.edge_count());
+  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+  for (VertexId x = 0; x < g.vertex_count(); ++x) {
+    for (EdgeId e = offsets[x]; e < offsets[x + 1]; ++e) {
+      const VertexId w = neighbors[e];
+      const EdgeId slot = cursor[w]++;
+      GNNIE_ASSERT(slot < offsets[w + 1] && neighbors[slot] == x,
+                   "undirected graph must be symmetric");
+      mirror[e] = slot;
+    }
+  }
+  return mirror;
+}
+
+/// Hints the cache to pull in the rows the next contribution touches.
+void prefetch_row(std::span<const float> row) { __builtin_prefetch(row.data()); }
+
 }  // namespace
 
 ReverseAdjacency::ReverseAdjacency(const Csr& g) {
@@ -286,8 +312,10 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     block_remaining[position[v] / block_v] += alpha[v];
   }
 
-  std::vector<bool> edge_processed(g.edge_count(), false);
-  std::vector<bool> in_cache(v_count, false);
+  // Byte flags: the edge loop tests and sets these once per edge.
+  std::vector<std::uint8_t> edge_processed(g.edge_count(), 0);
+  std::vector<std::uint8_t> in_cache(v_count, 0);
+  const std::vector<EdgeId> mirror = task.directed ? std::vector<EdgeId>{} : mirror_edges(g);
   std::vector<bool> spilled(v_count, false);
   std::vector<bool> partial_held_on_chip(v_count, false);  // evicted, partial retained
   std::vector<bool> ever_evicted(v_count, false);
@@ -346,6 +374,8 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
 
   std::vector<VertexId> cached;    // current subgraph (vertex ids)
   std::vector<VertexId> newly_added;
+  std::vector<EdgeId> ready;       // one new vertex's processable edges
+  std::vector<VertexId> candidates;  // eviction candidates, per iteration
   cached.reserve(n);
 
   auto record_round_histogram = [&] {
@@ -371,7 +401,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   // Shared eviction bookkeeping: α write-back + partial retention/spill.
   // Does NOT remove v from `cached` — callers own that.
   auto evict_vertex = [&](VertexId v) {
-    in_cache[v] = false;
+    in_cache[v] = 0;
     ever_evicted[v] = true;
     ++rep.evictions;
     if (assoc > 0) --set_count[set_of(v)];
@@ -421,7 +451,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       }
       ++set_count[s];
     }
-    in_cache[v] = true;
+    in_cache[v] = 1;
     cached.push_back(v);
     newly_added.push_back(v);
     if (task.access_log != nullptr) task.access_log->push_back(v);
@@ -563,15 +593,28 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       if (alpha[v] == 0) complete_vertex(v);
     };
 
+    // Each newly added vertex first collects its ready edges (unprocessed,
+    // other end cached), then processes them in slice order. Collecting
+    // up front is exact: the filter reads only u's own slice of
+    // edge_processed, which processing never writes (a mirror entry lies
+    // in the other endpoint's slice), and in_cache does not change until
+    // eviction. Knowing the next edge lets the loop prefetch its rows.
+    const std::span<const VertexId> neighbors = g.neighbor_array();
     for (std::size_t qi = 0; qi < newly_added.size(); ++qi) {
       const VertexId u = newly_added[qi];
-      const EdgeId base = g.offsets()[u];
-      auto nb = g.neighbors(u);
-      for (std::size_t i = 0; i < nb.size(); ++i) {
-        const VertexId w = nb[i];
-        const EdgeId eid = base + static_cast<EdgeId>(i);
-        if (edge_processed[eid] || !in_cache[w]) continue;
-        edge_processed[eid] = true;
+      ready.clear();
+      for (EdgeId eid = g.offsets()[u]; eid < g.offsets()[u + 1]; ++eid) {
+        if (!edge_processed[eid] && in_cache[neighbors[eid]]) ready.push_back(eid);
+      }
+      for (std::size_t r = 0; r < ready.size(); ++r) {
+        if (r + 1 < ready.size()) {
+          const VertexId next = neighbors[ready[r + 1]];
+          prefetch_row(task.hw->row(next));
+          if (!task.directed) prefetch_row(state.out.row(next));
+        }
+        const EdgeId eid = ready[r];
+        const VertexId w = neighbors[eid];
+        edge_processed[eid] = 1;
         if (task.directed) {
           // u→w in CSR means w feeds u.
           state.contribute(task, u, w);
@@ -581,10 +624,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
           decrement_alpha(w);
         } else {
           // Mark the mirrored entry so the pair is processed once.
-          auto wn = g.neighbors(w);
-          const auto rit = std::lower_bound(wn.begin(), wn.end(), u);
-          GNNIE_ASSERT(rit != wn.end() && *rit == u, "undirected graph must be symmetric");
-          edge_processed[g.offsets()[w] + static_cast<EdgeId>(rit - wn.begin())] = true;
+          edge_processed[mirror[eid]] = 1;
           state.contribute(task, u, w);
           state.contribute(task, w, u);
           charge_accum(u);
@@ -595,12 +635,20 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
         }
       }
       if (task.directed) {
-        // Edges x→u discovered from u's side via the reverse adjacency.
+        // Edges x→u discovered from u's side via the reverse adjacency,
+        // collected only now: a self-loop's forward pass above marks the
+        // same entry.
+        ready.clear();
         for (EdgeId ri = rev->offsets[u]; ri < rev->offsets[u + 1]; ++ri) {
+          if (!edge_processed[rev->forward_index[ri]] && in_cache[rev->sources[ri]]) {
+            ready.push_back(ri);
+          }
+        }
+        for (std::size_t r = 0; r < ready.size(); ++r) {
+          if (r + 1 < ready.size()) prefetch_row(state.out.row(rev->sources[ready[r + 1]]));
+          const EdgeId ri = ready[r];
           const VertexId x = rev->sources[ri];
-          const EdgeId eid = rev->forward_index[ri];
-          if (edge_processed[eid] || !in_cache[x]) continue;
-          edge_processed[eid] = true;
+          edge_processed[rev->forward_index[ri]] = 1;
           state.contribute(task, x, u);
           charge_accum(x);
           ++rep.edges_processed;
@@ -662,15 +710,10 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     // (0 < α < γ) follow, each tier in dictionary order. Livelock at
     // pathological γ is handled by the relief pulses and the fallback
     // sweep. ---
-    std::vector<VertexId> candidates;
+    candidates.clear();
     for (VertexId v : cached) {
       if (alpha[v] < gamma) candidates.push_back(v);
     }
-    std::sort(candidates.begin(), candidates.end(), [&](VertexId a, VertexId b) {
-      const bool a_done = alpha[a] == 0;
-      const bool b_done = alpha[b] == 0;
-      return a_done != b_done ? a_done : a < b;
-    });
     if (candidates.empty() && edges_this_iteration == 0) {
       // Deadlock (§VI): no evictable vertex and no progress.
       if (!config_.cache.dynamic_gamma) {
@@ -700,7 +743,17 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
       continue;
     }
-    if (candidates.size() > r_max) candidates.resize(r_max);
+    // Only the first r_max leave; the order is a strict total order, so
+    // partially sorting to r_max selects exactly the full sort's prefix.
+    const auto evicted = static_cast<std::ptrdiff_t>(
+        std::min<std::uint64_t>(candidates.size(), r_max));
+    std::partial_sort(candidates.begin(), candidates.begin() + evicted, candidates.end(),
+                      [&](VertexId a, VertexId b) {
+                        const bool a_done = alpha[a] == 0;
+                        const bool b_done = alpha[b] == 0;
+                        return a_done != b_done ? a_done : a < b;
+                      });
+    candidates.resize(static_cast<std::size_t>(evicted));
 
     for (VertexId v : candidates) evict_vertex(v);
     std::erase_if(cached, [&](VertexId v) { return !in_cache[v]; });
@@ -759,14 +812,12 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
         const EdgeId eid = base + static_cast<EdgeId>(i);
         if (edge_processed[eid]) continue;
         const VertexId w = nb[i];
-        edge_processed[eid] = true;
+        edge_processed[eid] = 1;
         sweep_fetch(w);
         if (task.directed) {
           sweep_contribute(u, w);
         } else {
-          auto wn = g.neighbors(w);
-          const auto rit = std::lower_bound(wn.begin(), wn.end(), u);
-          edge_processed[g.offsets()[w] + static_cast<EdgeId>(rit - wn.begin())] = true;
+          edge_processed[mirror[eid]] = 1;
           sweep_contribute(u, w);
           sweep_contribute(w, u);
         }
@@ -779,7 +830,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
           const EdgeId eid = rev->forward_index[ri];
           if (edge_processed[eid]) continue;
           const VertexId x = rev->sources[ri];
-          edge_processed[eid] = true;
+          edge_processed[eid] = 1;
           sweep_fetch(x);
           sweep_contribute(x, u);
           ++rep.edges_processed;

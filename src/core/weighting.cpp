@@ -85,13 +85,17 @@ Matrix WeightingEngine::run(const SparseMatrix& h, const Matrix& w, WeightingRep
   grid.blocks_per_vertex = geom.blocks_per_vertex;
   grid.vertices = h.row_count();
   grid.z.resize(grid.vertices * grid.blocks_per_vertex);
+  // One merge walk per row: the sorted indices advance together with the
+  // block boundaries, counting each block's nonzeros in [b·k, (b+1)·k).
   for (std::size_t v = 0; v < grid.vertices; ++v) {
-    const SparseRow& row = h.row(v);
+    const auto indices = h.row(v).indices();
+    std::size_t next = 0;
     for (std::uint32_t b = 0; b < grid.blocks_per_vertex; ++b) {
-      const std::uint32_t lo = b * grid.k;
       const std::uint32_t hi =
-          std::min<std::uint32_t>(lo + grid.k, static_cast<std::uint32_t>(f_in));
-      grid.z[v * grid.blocks_per_vertex + b] = row.nnz_in_range(lo, hi);
+          std::min<std::uint32_t>((b + 1) * grid.k, static_cast<std::uint32_t>(f_in));
+      const std::size_t first = next;
+      while (next < indices.size() && indices[next] < hi) ++next;
+      grid.z[v * grid.blocks_per_vertex + b] = static_cast<std::uint32_t>(next - first);
     }
   }
 

@@ -13,7 +13,7 @@ double HbmConfig::burst_cycles() const {
   return static_cast<double>(burst_bytes) / bytes_per_cycle_per_channel;
 }
 
-HbmModel::HbmModel(HbmConfig config) : config_(config) {
+HbmModel::HbmModel(HbmConfig config) : config_(config), burst_cycles_(config.burst_cycles()) {
   GNNIE_REQUIRE(config_.channels > 0 && config_.banks_per_channel > 0, "need channels/banks");
   GNNIE_REQUIRE(config_.row_bytes % config_.burst_bytes == 0,
                 "row size must be a multiple of the burst size");
@@ -34,7 +34,7 @@ HbmStats& HbmStats::operator+=(const HbmStats& other) {
   return *this;
 }
 
-void HbmModel::begin_epoch() { channel_busy_.assign(config_.channels, 0.0); }
+void HbmModel::begin_epoch() { std::fill(channel_busy_.begin(), channel_busy_.end(), 0.0); }
 
 void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient client) {
   if (bytes == 0) return;
@@ -48,25 +48,30 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
   stats_.client_bytes[static_cast<std::size_t>(client)] += moved;
   stats_.bursts += burst_count;
 
+  // Burst-granularity channel interleave; the address folds within the
+  // channel so sequential streams stay sequential per channel. The walk
+  // keeps channel, per-channel burst, row, position in row and bank as
+  // running counters: burst b sits on channel b % channels at per-channel
+  // burst b / channels, in row (b / channels) / bursts_per_row, on bank
+  // row % banks_per_channel.
+  const std::uint32_t channels = config_.channels;
+  const std::uint32_t banks = config_.banks_per_channel;
   const std::uint32_t bursts_per_row = config_.row_bytes / config_.burst_bytes;
-  for (std::uint64_t b = first_burst; b <= last_burst; ++b) {
-    // Burst-granularity channel interleave; fold the address within the
-    // channel so sequential streams stay sequential per channel.
-    const std::uint32_t channel = static_cast<std::uint32_t>(b % config_.channels);
-    const std::uint64_t channel_burst = b / config_.channels;
-    const std::uint64_t row = channel_burst / bursts_per_row;
-    const std::uint32_t bank =
-        static_cast<std::uint32_t>(row % config_.banks_per_channel);
-
-    Bank& state = banks_[static_cast<std::size_t>(channel) * config_.banks_per_channel + bank];
-    // Reads and writes occupy separate scheduler queues (write buffering),
-    // so they form separate streams as well.
-    const std::size_t region = std::min<std::uint64_t>(addr >> 36, kStreamSlots / 2 - 1);
-    const std::size_t stream_slot =
-        static_cast<std::size_t>(channel) * kStreamSlots + region * 2 + (write ? 1 : 0);
-    const bool streaming = channel_burst == last_channel_burst_[stream_slot] + 1;
-    last_channel_burst_[stream_slot] = channel_burst;
-    double service = config_.burst_cycles();
+  auto channel = static_cast<std::uint32_t>(first_burst % channels);
+  std::uint64_t channel_burst = first_burst / channels;
+  std::uint64_t row = channel_burst / bursts_per_row;
+  auto in_row = static_cast<std::uint32_t>(channel_burst % bursts_per_row);
+  auto bank = static_cast<std::uint32_t>(row % banks);
+  // Reads and writes occupy separate scheduler queues (write buffering),
+  // so they form separate streams as well.
+  const std::size_t region = std::min<std::uint64_t>(addr >> 36, kStreamSlots / 2 - 1);
+  const std::size_t stream_offset = region * 2 + (write ? 1 : 0);
+  for (std::uint64_t left = burst_count; left > 0; --left) {
+    Bank& state = banks_[static_cast<std::size_t>(channel) * banks + bank];
+    std::uint64_t& last = last_channel_burst_[channel * kStreamSlots + stream_offset];
+    const bool streaming = channel_burst == last + 1;
+    last = channel_burst;
+    double service = burst_cycles_;
     if (state.open_row == row) {
       ++stats_.row_hits;
     } else {
@@ -77,6 +82,16 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
       service += streaming ? config_.streaming_miss_penalty : config_.row_miss_penalty;
     }
     channel_busy_[channel] += service;
+
+    if (++channel == channels) {
+      channel = 0;
+      ++channel_burst;
+      if (++in_row == bursts_per_row) {
+        in_row = 0;
+        ++row;
+        if (++bank == banks) bank = 0;
+      }
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -80,6 +81,10 @@ class HbmModel {
   /// Busy cycles of the most-loaded channel since begin_epoch().
   Cycles epoch_cycles() const;
 
+  /// Per-channel busy cycles since begin_epoch(); epoch_cycles() is the
+  /// ceiling of their maximum.
+  std::span<const double> channel_busy() const { return channel_busy_; }
+
   /// Lifetime totals (not reset by begin_epoch).
   const HbmStats& stats() const { return stats_; }
 
@@ -92,6 +97,7 @@ class HbmModel {
   };
 
   HbmConfig config_;
+  double burst_cycles_;               // config_.burst_cycles(), fixed per model
   std::vector<Bank> banks_;           // channels × banks_per_channel
   std::vector<double> channel_busy_;  // cycles within current epoch
   /// Streaming detection per (channel, address region): the memory-access

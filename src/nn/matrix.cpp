@@ -1,5 +1,6 @@
 #include "nn/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/require.hpp"
@@ -25,20 +26,33 @@ float Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   GNNIE_REQUIRE(a.cols() == b.rows(), "matmul inner dimension mismatch");
-  Matrix c(a.rows(), b.cols());
+  const std::size_t n = b.cols();
+  Matrix c(a.rows(), n);
+  // Register tiling over output columns: a tile of c's row accumulates in
+  // locals across the whole k loop and is stored once. Per element this is
+  // the untiled loop's exact sequence, 0 + a(i,k0)·b(k0,j) + a(i,k1)·b(k1,j)
+  // + … over ascending k, so results are bit-identical.
+  constexpr std::size_t kTile = 32;
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = a.at(i, k);
-      if (aik == 0.0f) continue;  // input features are ultra-sparse
-      axpy(aik, b.row(k), c.row(i));
+    const auto a_row = a.row(i);
+    float* c_row = c.row(i).data();
+    for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
+      const std::size_t width = std::min(kTile, n - j0);
+      float acc[kTile] = {};
+      for (std::size_t k = 0; k < a_row.size(); ++k) {
+        const float aik = a_row[k];
+        if (aik == 0.0f) continue;
+        const float* b_col = b.row(k).data() + j0;
+        if (width == kTile) {
+          for (std::size_t j = 0; j < kTile; ++j) acc[j] += aik * b_col[j];
+        } else {
+          for (std::size_t j = 0; j < width; ++j) acc[j] += aik * b_col[j];
+        }
+      }
+      std::copy(acc, acc + width, c_row + j0);
     }
   }
   return c;
-}
-
-void axpy(float scale, std::span<const float> row, std::span<float> out) {
-  GNNIE_REQUIRE(row.size() == out.size(), "axpy span size mismatch");
-  for (std::size_t i = 0; i < row.size(); ++i) out[i] += scale * row[i];
 }
 
 }  // namespace gnnie

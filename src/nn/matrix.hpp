@@ -1,11 +1,16 @@
-// Minimal row-major dense matrix for the reference GNN implementations.
-// This is the functional oracle the accelerator model is validated against,
-// so clarity beats performance here.
+// Row-major dense matrix plus the two kernels every functional path runs
+// on: axpy (the aggregation and sparse-weighting inner loop) and matmul
+// (dense weighting). They are the engine's hottest host code, so both are
+// tuned — but never at the cost of bit-exactness: each output element is
+// accumulated in the same order, with the same float operations, as the
+// plain loops the reference implementations are written in.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "common/require.hpp"
 
 namespace gnnie {
 
@@ -36,10 +41,17 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A × B.
+/// C = A × B. Each c(i,j) sums a(i,k)·b(k,j) over ascending k, skipping
+/// a(i,k) == 0 (input features are ultra-sparse).
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// out += scale * row (axpy over spans).
-void axpy(float scale, std::span<const float> row, std::span<float> out);
+/// out += scale * row (axpy over spans). Inline: it runs once per
+/// aggregated edge.
+inline void axpy(float scale, std::span<const float> row, std::span<float> out) {
+  GNNIE_REQUIRE(row.size() == out.size(), "axpy span size mismatch");
+  const float* src = row.data();
+  float* dst = out.data();
+  for (std::size_t i = 0; i < row.size(); ++i) dst[i] += scale * src[i];
+}
 
 }  // namespace gnnie

@@ -13,6 +13,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -294,6 +295,8 @@ TEST(BitExactPin, SyntheticGraphFingerprints) {
 
 /// Test-local copy of the original HbmModel::access: per burst, four
 /// div/mods for channel/row/bank, burst_cycles() recomputed every time.
+/// HbmModel must match it in stats, epoch cycles and every channel's busy
+/// time, bit for bit.
 class PerBurstHbm {
  public:
   explicit PerBurstHbm(const HbmConfig& c)
@@ -343,6 +346,7 @@ class PerBurstHbm {
     const double worst = *std::max_element(busy_.begin(), busy_.end());
     return static_cast<Cycles>(std::llround(std::ceil(worst)));
   }
+  const std::vector<double>& channel_busy() const { return busy_; }
 
   HbmStats stats;
 
@@ -422,6 +426,11 @@ TEST(HbmOracle, RandomizedAccessesMatchPerBurstFormula) {
       oracle.access(addr, bytes, write, client);
       cursor = addr + bytes;
       ASSERT_EQ(model.epoch_cycles(), oracle.epoch_cycles()) << "access " << i;
+      // Same additions in the same order: bit-identical per channel.
+      const std::span<const double> busy = model.channel_busy();
+      ASSERT_TRUE(std::equal(busy.begin(), busy.end(), oracle.channel_busy().begin(),
+                             oracle.channel_busy().end()))
+          << "access " << i;
     }
     expect_same_stats(model.stats(), oracle.stats);
   }
