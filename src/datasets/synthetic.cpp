@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <vector>
 
 #include "common/alias_table.hpp"
 #include "common/require.hpp"
@@ -16,10 +16,51 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   return seed * 0x9e3779b97f4a7c15ULL + stream * 0xd1b54a32d192ed03ULL + 1;
 }
 
+/// Unordered pair {u, v}, u != v, as a nonzero 64-bit key.
 std::uint64_t pair_key(VertexId u, VertexId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
+
+/// Insert-only set of pair keys: linear probing over a flat power-of-two
+/// table with splitmix64-mixed hashes (the serve/cost_cache.cpp scheme).
+/// Key 0 marks an empty slot — pair_key never produces it. Sized once for
+/// at most `max_keys` keys at ≤ 2/3 load, so it never rehashes.
+class PairSet {
+ public:
+  explicit PairSet(std::uint64_t max_keys) {
+    std::size_t slots = 16;
+    while (slots * 2 < max_keys * 3) slots *= 2;
+    slots_.assign(slots, 0);
+  }
+
+  std::uint64_t size() const { return size_; }
+
+  void insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return;
+      if (slots_[i] == 0) {
+        slots_[i] = key;
+        ++size_;
+        return;
+      }
+    }
+  }
+
+  const std::vector<std::uint64_t>& slots() const { return slots_; }
+
+ private:
+  static std::size_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(x ^ (x >> 31));
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::uint64_t size_ = 0;
+};
 
 }  // namespace
 
@@ -42,8 +83,7 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
   }
   const AliasTable endpoints(weights);
 
-  std::unordered_set<std::uint64_t> pairs;
-  pairs.reserve(static_cast<std::size_t>(target_pairs) * 2);
+  PairSet pairs(target_pairs);
   const std::uint64_t max_attempts = 64 * target_pairs + 1024;
   std::uint64_t attempts = 0;
   while (pairs.size() < target_pairs && attempts < max_attempts) {
@@ -62,8 +102,10 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
     }
   }
 
+  // build() sorts the edge list, so the table's slot order is immaterial.
   GraphBuilder b(spec.vertices);
-  for (std::uint64_t key : pairs) {
+  for (std::uint64_t key : pairs.slots()) {
+    if (key == 0) continue;
     b.add_edge(static_cast<VertexId>(key >> 32), static_cast<VertexId>(key & 0xffffffffu));
   }
   b.symmetrize();
