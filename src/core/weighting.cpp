@@ -106,11 +106,7 @@ Matrix WeightingEngine::run(const SparseMatrix& h, const Matrix& w, WeightingRep
   // Functional result: sparse-aware H·W.
   Matrix out(h.row_count(), f_out);
   for (std::size_t v = 0; v < h.row_count(); ++v) {
-    const SparseRow& row = h.row(v);
-    auto out_row = out.row(v);
-    for (std::size_t i = 0; i < row.nnz(); ++i) {
-      axpy(row.values()[i], w.row(row.indices()[i]), out_row);
-    }
+    gather_axpy(h.row(v).indices(), h.row(v).values(), w, out.row(v));
   }
   return out;
 }

@@ -45,6 +45,13 @@ class Matrix {
 /// a(i,k) == 0 (input features are ultra-sparse).
 Matrix matmul(const Matrix& a, const Matrix& b);
 
+/// out += Σ_t scales[t] · b.row(rows[t]): bit-identical to calling
+/// axpy(scales[t], b.row(rows[t]), out) for t = 0, 1, …, but register-tiled
+/// over out's columns, so each tile of out is loaded and stored once. A
+/// sparse row times a dense matrix is one call.
+void gather_axpy(std::span<const std::uint32_t> rows, std::span<const float> scales,
+                 const Matrix& b, std::span<float> out);
+
 /// out += scale * row (axpy over spans). Inline: it runs once per
 /// aggregated edge.
 inline void axpy(float scale, std::span<const float> row, std::span<float> out) {
