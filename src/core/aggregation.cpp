@@ -308,8 +308,10 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   const std::uint32_t block_v = config_.cache.block_vertices;
   const std::size_t block_count = (v_count + block_v - 1) / block_v;
   std::vector<std::uint64_t> block_remaining(block_count, 0);
+  std::vector<std::uint32_t> block_of(v_count);  // position[v] / block_v
   for (VertexId v = 0; v < v_count; ++v) {
-    block_remaining[position[v] / block_v] += alpha[v];
+    block_of[v] = position[v] / block_v;
+    block_remaining[block_of[v]] += alpha[v];
   }
 
   // Byte flags: the edge loop tests and sets these once per edge.
@@ -395,7 +397,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       assoc > 0 ? std::max<std::size_t>(1, static_cast<std::size_t>(n / assoc)) : 1;
   std::vector<std::uint32_t> set_count(num_sets, 0);
   auto set_of = [&](VertexId v) -> std::size_t {
-    return (position[v] / block_v) % num_sets;
+    return block_of[v] % num_sets;
   };
 
   // Shared eviction bookkeeping: α write-back + partial retention/spill.
@@ -588,7 +590,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     auto decrement_alpha = [&](VertexId v) {
       GNNIE_ASSERT(alpha[v] > 0, "alpha underflow");
       --alpha[v];
-      --block_remaining[position[v] / block_v];
+      --block_remaining[block_of[v]];
       --remaining_edge_work;
       if (alpha[v] == 0) complete_vertex(v);
     };
@@ -743,17 +745,20 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
       continue;
     }
-    // Only the first r_max leave; the order is a strict total order, so
-    // partially sorting to r_max selects exactly the full sort's prefix.
-    const auto evicted = static_cast<std::ptrdiff_t>(
-        std::min<std::uint64_t>(candidates.size(), r_max));
-    std::partial_sort(candidates.begin(), candidates.begin() + evicted, candidates.end(),
-                      [&](VertexId a, VertexId b) {
-                        const bool a_done = alpha[a] == 0;
-                        const bool b_done = alpha[b] == 0;
-                        return a_done != b_done ? a_done : a < b;
-                      });
-    candidates.resize(static_cast<std::size_t>(evicted));
+    // Only the first r_max leave. The order is a strict total order, so
+    // selecting the r_max smallest and sorting just those yields exactly
+    // the full sort's prefix.
+    const auto evict_end =
+        candidates.begin() +
+        static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(candidates.size(), r_max));
+    auto eviction_order = [&](VertexId a, VertexId b) {
+      const bool a_done = alpha[a] == 0;
+      const bool b_done = alpha[b] == 0;
+      return a_done != b_done ? a_done : a < b;
+    };
+    std::nth_element(candidates.begin(), evict_end, candidates.end(), eviction_order);
+    std::sort(candidates.begin(), evict_end, eviction_order);
+    candidates.erase(evict_end, candidates.end());
 
     for (VertexId v : candidates) evict_vertex(v);
     std::erase_if(cached, [&](VertexId v) { return !in_cache[v]; });
