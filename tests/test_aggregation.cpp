@@ -376,6 +376,36 @@ TEST(Aggregation, EmptyGraph) {
   }
 }
 
+TEST(Aggregation, UndirectedRejectsAsymmetricGraph) {
+  // Undirected aggregation marks each pair's mirror entry, so every edge
+  // must have one. 0↔1 is mirrored; 1→2 is not (and 2→3 has no 3→2).
+  // The whole graph is checked before any edge is processed — whatever
+  // the layout or buffer size, the run fails with the symmetry invariant.
+  const Csr g({0, 1, 3, 4, 4}, {1, 0, 2, 3});
+  const Matrix hw = random_dense(4, 8, 5);
+  const EngineConfig cfg = small_config();
+  for (CachePolicyKind kind : {CachePolicyKind::kDegreeAware, CachePolicyKind::kIdOrder}) {
+    const auto policy = CachePolicy::make(kind);
+    HbmModel hbm;
+    AggregationEngine eng(cfg, &hbm);
+    AggregationTask task;
+    task.graph = &g;
+    task.hw = &hw;
+    task.kind = AggKind::kGcnNormalizedSum;
+    task.policy = policy.get();
+    try {
+      eng.run(task);
+      ADD_FAILURE() << to_string(kind) << ": asymmetric graph accepted";
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << to_string(kind) << ": rejected as a precondition: " << e.what();
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("undirected graph must be symmetric"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Aggregation, IsolatedVerticesGetSelfOnly) {
   GraphBuilder b(5);
   b.add_edge(0, 1).symmetrize();

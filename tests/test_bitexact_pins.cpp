@@ -131,15 +131,21 @@ constexpr std::array<std::array<std::uint64_t, 5>, 3> kServingPins = {{
      0xc67278a01e915e79ull},
 }};
 
-TEST(BitExactPin, CompilePlanRunReportsAndOutputs) {
-  for (std::size_t gi = 0; gi < kPinGraphs.size(); ++gi) {
-    const PinGraph& pg = kPinGraphs[gi];
-    const Dataset d = generate_dataset(spec_of(pg.id).scaled(pg.scale), 7);
-    for (std::size_t ki = 0; ki < kPinKinds.size(); ++ki) {
-      const std::uint64_t got = serving_hash(d, kPinKinds[ki]);
-      EXPECT_EQ(got, kServingPins[gi][ki])
-          << pg.name << " × " << to_string(kPinKinds[ki]) << ": 0x" << std::hex << got;
-    }
+/// One test per pinned graph, so each stays well inside a per-test timeout
+/// under the sanitizer builds.
+class PerGraph : public ::testing::TestWithParam<std::size_t> {};
+
+std::string graph_name(const ::testing::TestParamInfo<std::size_t>& info) {
+  return kPinGraphs[info.param].name;
+}
+
+TEST_P(PerGraph, CompilePlanRunReportsAndOutputs) {
+  const PinGraph& pg = kPinGraphs[GetParam()];
+  const Dataset d = generate_dataset(spec_of(pg.id).scaled(pg.scale), 7);
+  for (std::size_t ki = 0; ki < kPinKinds.size(); ++ki) {
+    const std::uint64_t got = serving_hash(d, kPinKinds[ki]);
+    EXPECT_EQ(got, kServingPins[GetParam()][ki])
+        << pg.name << " × " << to_string(kPinKinds[ki]) << ": 0x" << std::hex << got;
   }
 }
 
@@ -244,19 +250,20 @@ constexpr std::array<std::array<std::uint64_t, 6>, 3> kAggregationPins = {{
      0x3a970ea1c053ef5aull, 0x1249c7142ae68758ull},
 }};
 
-TEST(BitExactPin, AggregationUnderEveryCachePolicy) {
+TEST_P(PerGraph, AggregationUnderEveryCachePolicy) {
   ASSERT_EQ(all_cache_policy_kinds().size(), kAggregationPins[0].size());
-  for (std::size_t gi = 0; gi < kPinGraphs.size(); ++gi) {
-    const PinGraph& pg = kPinGraphs[gi];
-    const Csr g = generate_graph(spec_of(pg.id).scaled(pg.scale), 3);
-    for (std::size_t pi = 0; pi < all_cache_policy_kinds().size(); ++pi) {
-      const CachePolicyKind kind = all_cache_policy_kinds()[pi];
-      const std::uint64_t got = aggregation_hash(g, kind);
-      EXPECT_EQ(got, kAggregationPins[gi][pi])
-          << pg.name << " × " << to_string(kind) << ": 0x" << std::hex << got;
-    }
+  const PinGraph& pg = kPinGraphs[GetParam()];
+  const Csr g = generate_graph(spec_of(pg.id).scaled(pg.scale), 3);
+  for (std::size_t pi = 0; pi < all_cache_policy_kinds().size(); ++pi) {
+    const CachePolicyKind kind = all_cache_policy_kinds()[pi];
+    const std::uint64_t got = aggregation_hash(g, kind);
+    EXPECT_EQ(got, kAggregationPins[GetParam()][pi])
+        << pg.name << " × " << to_string(kind) << ": 0x" << std::hex << got;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(BitExactPin, PerGraph, ::testing::Range<std::size_t>(0, kPinGraphs.size()),
+                         graph_name);
 
 // Csr::structure_fingerprint of generate_graph for every Table II dataset
 // (table2_specs order) × seeds {1, 2, 3} × scales {0.001, 0.005}. The
