@@ -7,21 +7,26 @@
 namespace gnnie {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
+std::uint64_t splitmix64(std::uint64_t x) {
+  std::uint64_t z = x + kGoldenGamma;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 void Rng::reseed(std::uint64_t seed) {
+  // The splitmix64 generator: outputs for seed + γ, seed + 2γ, ….
   std::uint64_t sm = seed;
-  for (auto& s : state_) s = splitmix64(sm);
+  for (auto& s : state_) {
+    s = splitmix64(sm);
+    sm += kGoldenGamma;
+  }
   have_spare_gaussian_ = false;
 }
 

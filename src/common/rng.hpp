@@ -10,6 +10,10 @@
 
 namespace gnnie {
 
+/// The splitmix64 output for input x: a well-spread 64-bit hash of x.
+/// Seeds Rng's state and hashes the keys of open-addressed tables.
+std::uint64_t splitmix64(std::uint64_t x);
+
 /// xoshiro256** — fast, high-quality, and stable across platforms (unlike
 /// std::mt19937 + distributions, whose outputs vary across standard
 /// libraries). Seeded via splitmix64 per the reference implementation.

@@ -23,7 +23,7 @@ std::uint64_t pair_key(VertexId u, VertexId v) {
 }
 
 /// Insert-only set of pair keys: linear probing over a flat power-of-two
-/// table with splitmix64-mixed hashes (the serve/cost_cache.cpp scheme).
+/// table with splitmix64 hashes (the serve/cost_cache.cpp scheme).
 /// Key 0 marks an empty slot — pair_key never produces it. Sized once for
 /// at most `max_keys` keys at ≤ 2/3 load, so it never rehashes.
 class PairSet {
@@ -38,7 +38,8 @@ class PairSet {
 
   void insert(std::uint64_t key) {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = static_cast<std::size_t>(splitmix64(key)) & mask;;
+         i = (i + 1) & mask) {
       if (slots_[i] == key) return;
       if (slots_[i] == 0) {
         slots_[i] = key;
@@ -51,13 +52,6 @@ class PairSet {
   const std::vector<std::uint64_t>& slots() const { return slots_; }
 
  private:
-  static std::size_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(x ^ (x >> 31));
-  }
-
   std::vector<std::uint64_t> slots_;
   std::uint64_t size_ = 0;
 };

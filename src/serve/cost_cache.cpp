@@ -1,26 +1,21 @@
 #include "serve/cost_cache.hpp"
 
+#include "common/rng.hpp"
+
 namespace gnnie::serve {
 namespace {
 
 constexpr std::size_t kInitialSlots = 64;  // power of two
-
-/// splitmix64 finalizer — cheap, well-mixed for pointer-derived keys.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 
 ServiceCostCache::ServiceCostCache() : slots_(kInitialSlots) {}
 
 std::size_t ServiceCostCache::hash(const Key& key) {
-  std::uint64_t h = mix(static_cast<std::uint64_t>(key.config));
-  h ^= mix(reinterpret_cast<std::uintptr_t>(key.plan));
-  h ^= mix(reinterpret_cast<std::uintptr_t>(key.features) + 0x2545f4914f6cdd1dULL);
+  // splitmix64 is cheap and well-mixed for pointer-derived keys.
+  std::uint64_t h = splitmix64(static_cast<std::uint64_t>(key.config));
+  h ^= splitmix64(reinterpret_cast<std::uintptr_t>(key.plan));
+  h ^= splitmix64(reinterpret_cast<std::uintptr_t>(key.features) + 0x2545f4914f6cdd1dULL);
   return static_cast<std::size_t>(h);
 }
 
