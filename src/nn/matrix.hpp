@@ -1,9 +1,9 @@
-// Row-major dense matrix plus the two kernels every functional path runs
-// on: axpy (the aggregation and sparse-weighting inner loop) and matmul
-// (dense weighting). They are the engine's hottest host code, so both are
-// tuned — but never at the cost of bit-exactness: each output element is
-// accumulated in the same order, with the same float operations, as the
-// plain loops the reference implementations are written in.
+// Row-major dense matrix plus the kernels every functional path runs on:
+// axpy (the aggregation inner loop), gather_axpy (sparse weighting) and
+// matmul (dense weighting). They are the engine's hottest host code, so
+// they are tuned — but never at the cost of bit-exactness: each output
+// element gets the same float multiplies and adds, in the same order, as
+// the straightforward loop (one axpy per term, ascending k).
 #pragma once
 
 #include <cstdint>
