@@ -637,20 +637,12 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
         }
       }
       if (task.directed) {
-        // Edges x→u discovered from u's side via the reverse adjacency,
-        // collected only now: a self-loop's forward pass above marks the
-        // same entry.
-        ready.clear();
+        // Edges x→u discovered from u's side via the reverse adjacency.
         for (EdgeId ri = rev->offsets[u]; ri < rev->offsets[u + 1]; ++ri) {
-          if (!edge_processed[rev->forward_index[ri]] && in_cache[rev->sources[ri]]) {
-            ready.push_back(ri);
-          }
-        }
-        for (std::size_t r = 0; r < ready.size(); ++r) {
-          if (r + 1 < ready.size()) prefetch_row(state.out.row(rev->sources[ready[r + 1]]));
-          const EdgeId ri = ready[r];
           const VertexId x = rev->sources[ri];
-          edge_processed[rev->forward_index[ri]] = 1;
+          const EdgeId eid = rev->forward_index[ri];
+          if (edge_processed[eid] || !in_cache[x]) continue;
+          edge_processed[eid] = 1;
           state.contribute(task, x, u);
           charge_accum(x);
           ++rep.edges_processed;
