@@ -1,7 +1,7 @@
 // Bit-exact pins for the engine's host hot paths. Every modeled number (the
 // report JSON) and every output float of compile → plan → run, of
-// AggregationEngine::run under each cache policy, and the structure of every
-// synthetic graph are hashed and compared against constants captured from the
+// AggregationEngine::run under each cache policy, the structure of every
+// synthetic graph and every row of every synthetic feature matrix are hashed and compared against constants captured from the
 // straightforward implementations the fast paths replaced. A change that
 // moves one of these hashes changes what the simulator computes — that is a
 // modeling change, not an optimization, and its constants must be re-captured
@@ -293,6 +293,89 @@ TEST(BitExactPin, SyntheticGraphFingerprints) {
             generate_graph(spec.scaled(scale), seed).structure_fingerprint();
         EXPECT_EQ(got, kFingerprintPins[di][col])
             << spec.short_name << " scale " << scale << " seed " << seed << ": 0x" << std::hex
+            << got;
+        ++col;
+      }
+    }
+  }
+}
+
+/// Hash of every row of a feature matrix: its nnz, indices and value bits.
+std::uint64_t feature_fingerprint(const SparseMatrix& f) {
+  Fnv h;
+  h.u64(f.row_count());
+  h.u64(f.col_count());
+  for (std::size_t r = 0; r < f.row_count(); ++r) {
+    const SparseRow& row = f.row(r);
+    h.u64(row.nnz());
+    for (std::uint32_t i : row.indices()) h.u64(i);
+    h.floats(row.values());
+  }
+  return h.value();
+}
+
+// generate_features over the graph fingerprints' (scale, seed) grid, in three
+// groups of rows: the Table II specs with their calibrated index skew; CR, CS
+// and PPI at Cora's feature length (the serve-mix shape); and the Table II
+// specs again with uniform indices (index_zipf_s = 0).
+constexpr std::array<DatasetId, 3> kWideFeatureIds = {DatasetId::kCora, DatasetId::kCiteseer,
+                                                      DatasetId::kPpi};
+constexpr std::array<std::array<std::uint64_t, 6>, 13> kFeatureFingerprintPins = {{
+    {0x8a09c2cf534ae524ull, 0x39f5df0656bbd60full, 0x33127a3ceb300410ull, 0x8a09c2cf534ae524ull,
+     0x39f5df0656bbd60full, 0x33127a3ceb300410ull},
+    {0xf49adc0c3124a304ull, 0x51d3309a5aa5f3c9ull, 0xd2e46ec39a9d293bull, 0x9bb85cdb327a2f0cull,
+     0xeda487941c5a3b77ull, 0x6087d4776f0577b2ull},
+    {0xa87cb6361cfef2a5ull, 0xfc377ab4bb762a5dull, 0x9ef8454545b52d05ull, 0xb16ee29ce6ea7590ull,
+     0xd3fe7fa0436281d8ull, 0x52fd26cef02f42eull},
+    {0xe8b2c456f793f3a0ull, 0xddf6e4ae7a1027fbull, 0xee3534ff517ec4ceull, 0x8857d0162cbd46ull,
+     0xeaea16e4f153da82ull, 0x210a699c159da1a4ull},
+    {0x2a862a2e56a6099cull, 0xb7d4ea4c3fa1d684ull, 0xe6995effc411abe3ull, 0x3dca7a516b5da932ull,
+     0x3a32ef7e350ddc5ull, 0xb36314c64ff19690ull},
+    {0x8a09c2cf534ae524ull, 0x39f5df0656bbd60full, 0x33127a3ceb300410ull, 0x8a09c2cf534ae524ull,
+     0x39f5df0656bbd60full, 0x33127a3ceb300410ull},
+    {0x713441cdd8470db6ull, 0xef6036285d59dfbbull, 0xcccd6434e13429f9ull, 0xc21cd7527ea6d600ull,
+     0xf38cc7a01979a1a7ull, 0xb7c1a9bb50b413bdull},
+    {0x95c237b07292de28ull, 0x64accd5ada30f9a9ull, 0xf08570694f8c5eaaull, 0x4600fe1e68553085ull,
+     0xab32452d85155e1full, 0x86e60bf6b216a407ull},
+    {0x8f43d99f50792c82ull, 0xc1fc4d838889b5aeull, 0xc85fe0dbe9080c14ull, 0x8f43d99f50792c82ull,
+     0xc1fc4d838889b5aeull, 0xc85fe0dbe9080c14ull},
+    {0xc6d2fe2530ad559full, 0x4e7278d5479f9698ull, 0xbb522816e85d2053ull, 0x27359417568a51eull,
+     0x458f237c5c0151b5ull, 0xd989b8a42859595cull},
+    {0x121682f539f75410ull, 0xb588fa52771eec89ull, 0xfea03a633ef3f6ddull, 0xa6773564305970c5ull,
+     0x81e36aaf3572ef4full, 0x2c8198868545c811ull},
+    {0x76d21ca00da19794ull, 0x2ea0bb5d228210eeull, 0xfff62f9f2ec1dcb3ull, 0x7aeb504925913c98ull,
+     0x8cac29a75fc72de0ull, 0x384e4023a12a36c2ull},
+    {0x430e8dd9d3325196ull, 0xc79c71ff0059f5f2ull, 0x3733951ec2714ffull, 0xe08aabd2c65548a6ull,
+     0xfc82c92e6bddbb3full, 0xd9f4b27d269f64b5ull},
+}};
+
+TEST(BitExactPin, SyntheticFeatureFingerprints) {
+  struct Case {
+    std::string label;
+    DatasetSpec spec;
+    FeatureMixture mix;
+  };
+  std::vector<Case> cases;
+  for (const DatasetSpec& spec : table2_specs()) cases.push_back({spec.short_name, spec, {}});
+  for (DatasetId id : kWideFeatureIds) {
+    DatasetSpec spec = spec_of(id);
+    spec.feature_length = spec_of(DatasetId::kCora).feature_length;
+    cases.push_back({spec.short_name + " F=1433", spec, {}});
+  }
+  FeatureMixture uniform;
+  uniform.index_zipf_s = 0.0;
+  for (const DatasetSpec& spec : table2_specs()) {
+    cases.push_back({spec.short_name + " uniform", spec, uniform});
+  }
+  ASSERT_EQ(cases.size(), kFeatureFingerprintPins.size());
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    std::size_t col = 0;
+    for (double scale : kFingerprintScales) {
+      for (std::uint64_t seed : kFingerprintSeeds) {
+        const std::uint64_t got = feature_fingerprint(
+            generate_features(cases[ci].spec.scaled(scale), seed, cases[ci].mix));
+        EXPECT_EQ(got, kFeatureFingerprintPins[ci][col])
+            << cases[ci].label << " scale " << scale << " seed " << seed << ": 0x" << std::hex
             << got;
         ++col;
       }
