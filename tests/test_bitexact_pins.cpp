@@ -1,8 +1,9 @@
 // Bit-exact pins for the engine's host hot paths. Every modeled number (the
 // report JSON) and every output float of compile → plan → run, of
 // AggregationEngine::run under each cache policy, the structure of every
-// synthetic graph and every row of every synthetic feature matrix are hashed and compared against constants captured from the
-// straightforward implementations the fast paths replaced. A change that
+// synthetic graph and every row of every synthetic feature matrix are hashed
+// and compared against constants captured from the straightforward
+// implementations the fast paths replaced. A change that
 // moves one of these hashes changes what the simulator computes — that is a
 // modeling change, not an optimization, and its constants must be re-captured
 // deliberately. The HBM oracle re-derives the DRAM model from a test-local
