@@ -9,8 +9,6 @@ namespace {
 
 constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -30,18 +28,6 @@ void Rng::reseed(std::uint64_t seed) {
   have_spare_gaussian_ = false;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   GNNIE_REQUIRE(bound > 0, "next_below needs a positive bound");
   // Rejection sampling to avoid modulo bias.
@@ -50,10 +36,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
     std::uint64_t r = next_u64();
     if (r >= threshold) return r % bound;
   }
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::next_double(double lo, double hi) {

@@ -24,13 +24,23 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double next_double(double lo, double hi);
@@ -59,6 +69,8 @@ class Rng {
   std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n, std::uint32_t k);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t state_[4];
   bool have_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;

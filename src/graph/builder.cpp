@@ -34,18 +34,45 @@ GraphBuilder& GraphBuilder::remove_self_loops() {
 }
 
 Csr GraphBuilder::build() const {
-  std::vector<Edge> sorted = edges_;
-  std::sort(sorted.begin(), sorted.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  // Two stable counting sorts — by destination, then by source — leave every
+  // row sorted in O(V + E), where one comparator sort of the (src, dst) list
+  // took O(E log E). Dropping repeats within each row then gives the same
+  // canonical CSR.
+  const std::size_t n = vertex_count_;
+  const auto prefix_counts = [n, this](auto endpoint) {
+    std::vector<EdgeId> starts(n + 1, 0);
+    for (const Edge& e : edges_) ++starts[endpoint(e) + 1];
+    for (std::size_t v = 1; v <= n; ++v) starts[v] += starts[v - 1];
+    return starts;
+  };
+  // The sources of each destination, destinations ascending.
+  std::vector<EdgeId> dst_end = prefix_counts([](const Edge& e) { return e.dst; });
+  std::vector<VertexId> sources(edges_.size());
+  for (const Edge& e : edges_) sources[dst_end[e.dst]++] = e.src;
 
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(vertex_count_) + 1, 0);
-  for (const Edge& e : sorted) ++offsets[e.src + 1];
-  for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  // Scattered into rows in that order, each row comes out sorted.
+  std::vector<EdgeId> offsets = prefix_counts([](const Edge& e) { return e.src; });
+  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<VertexId> neighbors(edges_.size());
+  EdgeId i = 0;
+  for (VertexId dst = 0; dst < n; ++dst) {
+    for (; i < dst_end[dst]; ++i) neighbors[cursor[sources[i]]++] = dst;
+  }
 
-  std::vector<VertexId> neighbors(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) neighbors[i] = sorted[i].dst;
+  EdgeId out = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const EdgeId row_begin = offsets[v];
+    const EdgeId row_end = offsets[v + 1];
+    offsets[v] = out;
+    for (EdgeId e = row_begin; e < row_end; ++e) {
+      if (out == offsets[v] || neighbors[e] != neighbors[out - 1]) neighbors[out++] = neighbors[e];
+    }
+  }
+  offsets[n] = out;
+  if (out != neighbors.size()) {
+    neighbors.resize(out);
+    neighbors.shrink_to_fit();
+  }
   return Csr(std::move(offsets), std::move(neighbors));
 }
 

@@ -123,6 +123,80 @@ TEST(ApplyPermutation, RejectsNonPermutation) {
   EXPECT_THROW(apply_permutation(g, {0, 1}), std::invalid_argument);
 }
 
+/// Test-local copy of the original GraphBuilder::build: one comparator sort
+/// of the whole (src, dst) list, unique, then a prefix sum.
+Csr sort_based_build(VertexId n, std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (const Edge& e : edges) ++offsets[e.src + 1];
+  for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  std::vector<VertexId> neighbors(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) neighbors[i] = edges[i].dst;
+  return Csr(std::move(offsets), std::move(neighbors));
+}
+
+void expect_same_csr(const Csr& got, const Csr& want) {
+  ASSERT_EQ(got.vertex_count(), want.vertex_count());
+  EXPECT_TRUE(std::ranges::equal(got.offsets(), want.offsets()));
+  for (VertexId v = 0; v < want.vertex_count(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(got.neighbors(v), want.neighbors(v))) << "vertex " << v;
+  }
+}
+
+class BuilderProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BuilderProperty, MatchesSortBasedBuild) {
+  Rng rng(GetParam());
+  const auto n = static_cast<VertexId>(1 + rng.next_below(400));
+  // Endpoints from a prefix of the ids leave the rest isolated; a few
+  // repeated edges, self-loops and both directions of one pair on purpose.
+  const auto active = static_cast<VertexId>(1 + rng.next_below(n));
+  std::vector<Edge> edges;
+  const std::uint64_t count = rng.next_below(6 * n + 2);
+  for (std::uint64_t e = 0; e < count; ++e) {
+    const auto u = static_cast<VertexId>(rng.next_below(active));
+    const auto v = static_cast<VertexId>(rng.next_below(active));
+    edges.push_back({u, v});
+    if (rng.next_below(8) == 0) edges.push_back({u, v});
+    if (rng.next_below(8) == 0) edges.push_back({v, u});
+    if (rng.next_below(16) == 0) edges.push_back({u, u});
+  }
+  GraphBuilder b(n);
+  b.add_edges(edges);
+  expect_same_csr(b.build(), sort_based_build(n, edges));
+
+  std::vector<Edge> undirected = edges;
+  for (const Edge& e : edges) {
+    if (e.src != e.dst) undirected.push_back({e.dst, e.src});
+  }
+  b.symmetrize();
+  const Csr g = b.build();
+  expect_same_csr(g, sort_based_build(n, undirected));
+
+  std::vector<VertexId> perm(n);
+  for (VertexId v = 0; v < n; ++v) perm[v] = v;
+  rng.shuffle(perm);
+  std::vector<Edge> relabeled;
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId w : g.neighbors(v)) relabeled.push_back({perm[v], perm[w]});
+  }
+  expect_same_csr(apply_permutation(g, perm), sort_based_build(n, relabeled));
+
+  b.remove_self_loops();
+  std::erase_if(undirected, [](const Edge& e) { return e.src == e.dst; });
+  expect_same_csr(b.build(), sort_based_build(n, undirected));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BuilderProperty, ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(GraphBuilder, EmptyBuilderMatchesSortBasedBuild) {
+  expect_same_csr(GraphBuilder(0).build(), sort_based_build(0, {}));
+  expect_same_csr(GraphBuilder(7).build(), sort_based_build(7, {}));
+}
+
 TEST(Stats, DegreeVectorAndMoments) {
   Csr g = triangle_plus_tail();
   auto d = degrees(g);
