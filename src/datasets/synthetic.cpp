@@ -1,7 +1,11 @@
 #include "datasets/synthetic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/alias_table.hpp"
@@ -36,10 +40,19 @@ class PairSet {
 
   std::uint64_t size() const { return size_; }
 
-  void insert(std::uint64_t key) {
+  /// The slot key's probe starts at.
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>(splitmix64(key)) & (slots_.size() - 1);
+  }
+
+  void prefetch(std::size_t slot) const { __builtin_prefetch(&slots_[slot]); }
+
+  void insert(std::uint64_t key) { insert(key, home(key)); }
+
+  /// insert(key) with start == home(key) already computed.
+  void insert(std::uint64_t key, std::size_t start) {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = static_cast<std::size_t>(splitmix64(key)) & mask;;
-         i = (i + 1) & mask) {
+    for (std::size_t i = start;; i = (i + 1) & mask) {
       if (slots_[i] == key) return;
       if (slots_[i] == 0) {
         slots_[i] = key;
@@ -79,13 +92,33 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
 
   PairSet pairs(target_pairs);
   const std::uint64_t max_attempts = 64 * target_pairs + 1024;
-  std::uint64_t attempts = 0;
-  while (pairs.size() < target_pairs && attempts < max_attempts) {
-    ++attempts;
+  // The table outgrows the caches on the larger specs, so each attempt's
+  // endpoints are drawn kLookahead attempts ahead and its slot prefetched.
+  // The draws never depend on the inserts and rng is unused after the loop,
+  // so the inserts — and where the loop stops — are exactly those of
+  // drawing one attempt at a time.
+  struct Attempt {
+    std::uint64_t key;  ///< 0 for a self-pair, which is skipped
+    std::size_t home;
+  };
+  constexpr std::size_t kLookahead = 16;
+  std::array<Attempt, kLookahead> ahead;
+  const auto draw = [&]() -> Attempt {
     const VertexId u = endpoints.sample(rng);
     const VertexId v = endpoints.sample(rng);
-    if (u == v) continue;
-    pairs.insert(pair_key(u, v));
+    if (u == v) return {0, 0};
+    const std::uint64_t key = pair_key(u, v);
+    const std::size_t home = pairs.home(key);
+    pairs.prefetch(home);
+    return {key, home};
+  };
+  for (Attempt& a : ahead) a = draw();
+  std::uint64_t attempts = 0;
+  while (pairs.size() < target_pairs && attempts < max_attempts) {
+    Attempt& a = ahead[attempts % kLookahead];
+    ++attempts;
+    if (a.key != 0) pairs.insert(a.key, a.home);
+    a = draw();
   }
   // Near-clique corner (tiny scaled specs): fill deterministically.
   if (pairs.size() < target_pairs) {
@@ -144,39 +177,139 @@ SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed,
   for (std::uint32_t i = 0; i < spec.feature_length; ++i) {
     recip_weight[i] = std::pow(static_cast<double>(i) + 1.0, mix.index_zipf_s);
   }
+  TopKeys top(std::move(recip_weight));
 
   std::vector<SparseRow> rows;
   rows.reserve(spec.vertices);
-  std::vector<std::pair<double, std::uint32_t>> keys(spec.feature_length);
+  std::vector<double> u(spec.feature_length);
   for (std::uint32_t v = 0; v < spec.vertices; ++v) {
     const bool region_a = rng.next_bool(mix.region_a_weight);
     const double center = (region_a ? center_a : center_b) * mean_nnz;
     const double drawn = center * (1.0 + mix.region_sigma * rng.next_gaussian());
     // Clamp symmetrically around the center: one-sided truncation at the
     // feature length would bias the realized mean (and thus the sparsity).
+    // Near-dense specs put Region A's center past the feature length; that
+    // row is then full.
     const double sigma_abs = mix.region_sigma * center;
-    const double delta = std::min({2.5 * sigma_abs,
-                                   static_cast<double>(spec.feature_length) - center, center});
-    const auto nnz = static_cast<std::uint32_t>(
-        std::clamp(drawn, center - delta, center + delta));
+    const double delta = std::max(
+        0.0, std::min({2.5 * sigma_abs, static_cast<double>(spec.feature_length) - center,
+                       center}));
+    const auto nnz = std::min(
+        static_cast<std::uint32_t>(std::clamp(drawn, center - delta, center + delta)),
+        spec.feature_length);
 
     std::vector<std::uint32_t> idx(nnz);
     if (nnz > 0) {
-      for (std::uint32_t i = 0; i < spec.feature_length; ++i) {
-        double u = rng.next_double();
-        if (u <= 0.0) u = 1e-300;
-        keys[i] = {std::log(u) * recip_weight[i], i};  // larger key = more likely
+      // u = 0 becomes 1e-300 before the selection sees it, so the threshold
+      // filter and the exact keys both use the value the key is taken of.
+      for (double& x : u) {
+        x = rng.next_double();
+        if (x <= 0.0) x = 1e-300;
       }
-      std::nth_element(keys.begin(), keys.begin() + nnz, keys.end(),
-                       [](const auto& a, const auto& b) { return a.first > b.first; });
-      for (std::uint32_t i = 0; i < nnz; ++i) idx[i] = keys[i].second;
-      std::sort(idx.begin(), idx.end());
+      top.select(u, idx);
     }
     std::vector<float> val(idx.size());
     for (float& x : val) x = static_cast<float>(rng.next_double(0.1, 1.0));
     rows.emplace_back(std::move(idx), std::move(val), spec.feature_length);
   }
   return SparseMatrix(std::move(rows), spec.feature_length);
+}
+
+// TopKeys: the top-k Efraimidis–Vitter keys key_i = log(u_i)·r_i (r_i > 0,
+// u_i ∈ (0, 1), so every key < 0; larger = selected), the same set the
+// full-array nth_element picks, found mostly through a threshold filter.
+//
+// Exactness. key_i > T ⇔ log(u_i) > T/r_i ⇔ u_i > exp(T/r_i) in real
+// arithmetic, so for a level bound T the filter u_i > lo_i with
+// lo_i = exp(T/r_i)·(1 − 1e-9) keeps every index whose computed key exceeds
+// T: the 1e-9 relative margin is about 1e-9 in log space, while the
+// rounding of log, exp, the division and the product moves the comparison
+// by at most |T/r_i|·1e-15 + 1e-15 ≤ 1e-12, since levels stop at
+// |T/r_i| ≤ 700. The candidates then get the exact key, computed as the
+// full-array code computes it. If at least k of them exceed T, the top k
+// of the whole array are among the candidates, and every non-candidate's
+// key is ≤ T < the k-th largest. The top-k *set* is then unique unless the
+// k-th and (k+1)-th largest candidate keys tie — where the full array's
+// choice depends on nth_element's internal order. So a row escalates to
+// the next (looser) level when fewer than k candidate keys exceed T, and
+// falls back to the full-array code on a tie or past the last level.
+TopKeys::TopKeys(std::vector<double> recip_weight)
+    : r_(std::move(recip_weight)), cand_(r_.size()), key_(r_.size()), order_(r_.size()) {
+  keys_.reserve(r_.size());
+  const auto [r_min, r_max] = std::minmax_element(r_.begin(), r_.end());
+  if (r_.empty() || !(*r_min > 0.0) || !std::isfinite(*r_max)) return;  // full array only
+  const auto f = static_cast<double>(r_.size());
+  std::vector<double> lo(r_.size());
+  // Bounds grow geometrically: the expected candidate count at T is
+  // Σ 1 − exp(T/r_i), which grows by at most 1.25× a level. Past 80% of the
+  // indices the filter saves little, so those rows take the full array.
+  for (double bound = -1.0 / f; -bound / *r_min <= 700.0; bound *= 1.25) {
+    double expected = 0.0;
+    for (std::size_t i = 0; i < r_.size(); ++i) {
+      const double e = std::exp(bound / r_[i]);
+      expected += 1.0 - e;
+      lo[i] = e * (1.0 - 1e-9);
+    }
+    if (expected > 0.8 * f) break;
+    bound_.push_back(bound);
+    expected_.push_back(expected);
+    lo_.insert(lo_.end(), lo.begin(), lo.end());
+  }
+}
+
+void TopKeys::select(std::span<const double> u, std::vector<std::uint32_t>& idx) {
+  const std::size_t k = idx.size();
+  const std::size_t f = r_.size();
+  if (k == 0) return;
+  // Start where the expected candidate count clears k by three standard
+  // deviations, so escalations are rare.
+  const double need = static_cast<double>(k) + 3.0 * std::sqrt(static_cast<double>(k)) + 4.0;
+  for (auto level = static_cast<std::size_t>(
+           std::lower_bound(expected_.begin(), expected_.end(), need) - expected_.begin());
+       level < bound_.size(); ++level) {
+    const double* lo = lo_.data() + level * f;
+    std::size_t n = 0;
+    for (std::uint32_t i = 0; i < f; ++i) {
+      cand_[n] = i;
+      n += u[i] > lo[i] ? 1 : 0;
+    }
+    std::size_t above = 0;
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::uint32_t i = cand_[c];
+      key_[c] = std::log(u[i]) * r_[i];
+      above += key_[c] > bound_[level] ? 1 : 0;
+    }
+    if (above < k) continue;
+    if (take_candidates(n, idx)) return;
+    break;  // tie at the k-th key
+  }
+  // The full-array reference: nth_element over every (key, index) pair.
+  keys_.clear();
+  for (std::uint32_t i = 0; i < f; ++i) keys_.emplace_back(std::log(u[i]) * r_[i], i);
+  std::nth_element(keys_.begin(), keys_.begin() + static_cast<std::ptrdiff_t>(k), keys_.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (std::size_t i = 0; i < k; ++i) idx[i] = keys_[i].second;
+  std::sort(idx.begin(), idx.end());
+}
+
+/// The k largest of the first n candidate keys (n ≥ k), in index order;
+/// false when the k-th and (k+1)-th largest tie.
+bool TopKeys::take_candidates(std::size_t n, std::vector<std::uint32_t>& idx) {
+  const std::size_t k = idx.size();
+  double kth = -std::numeric_limits<double>::infinity();
+  if (n > k) {
+    std::copy_n(key_.begin(), n, order_.begin());
+    const auto nth = order_.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(order_.begin(), nth, order_.begin() + static_cast<std::ptrdiff_t>(n),
+                     std::greater<>());
+    kth = *std::min_element(order_.begin(), nth);
+    if (kth == *nth) return false;
+  }
+  std::size_t out = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    if (key_[c] >= kth) idx[out++] = cand_[c];
+  }
+  return true;
 }
 
 Dataset generate_dataset(const DatasetSpec& spec, std::uint64_t seed) {

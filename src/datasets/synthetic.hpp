@@ -10,11 +10,14 @@
 //
 // Features: per-vertex nonzero counts are drawn from a two-component
 // mixture ("Region A" sparse / "Region B" denser, Fig. 2) whose mean matches
-// the Table II sparsity; nonzero positions are uniform, values positive
-// (bag-of-words-like).
+// the Table II sparsity; nonzero positions follow a Zipf index popularity
+// (FeatureMixture::index_zipf_s), values positive (bag-of-words-like).
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "datasets/spec.hpp"
 #include "graph/csr.hpp"
@@ -58,5 +61,32 @@ Dataset generate_dataset(const DatasetSpec& spec, std::uint64_t seed = 1);
 
 /// Convenience: Table II dataset by id, optionally scaled.
 Dataset generate_dataset(DatasetId id, double scale = 1.0, std::uint64_t seed = 1);
+
+/// generate_features' choice of nonzero positions: the k largest
+/// Efraimidis–Vitter keys log(u_i)·r_i — exactly the set that an
+/// nth_element over all of them picks — found mostly through a per-index
+/// threshold filter (synthetic.cpp has the exactness argument). Public so
+/// its fallback paths can be tested directly.
+class TopKeys {
+ public:
+  /// r_i = recip_weight[i], the reciprocal index weight (i+1)^s.
+  explicit TopKeys(std::vector<double> recip_weight);
+
+  /// Writes the indices of the idx.size() largest keys of u, ascending.
+  /// u.size() must equal the weight count and every u_i lie in (0, 1).
+  void select(std::span<const double> u, std::vector<std::uint32_t>& idx);
+
+ private:
+  bool take_candidates(std::size_t n, std::vector<std::uint32_t>& idx);
+
+  std::vector<double> r_;
+  std::vector<double> bound_;     ///< per level: the key bound T
+  std::vector<double> expected_;  ///< per level: expected candidate count
+  std::vector<double> lo_;        ///< level-major: per-index u thresholds
+  std::vector<std::uint32_t> cand_;  ///< candidate indices, ascending
+  std::vector<double> key_;          ///< their exact keys
+  std::vector<double> order_;        ///< scratch for the k-th key
+  std::vector<std::pair<double, std::uint32_t>> keys_;  ///< full-array path
+};
 
 }  // namespace gnnie

@@ -3,6 +3,11 @@
 // counts, feature sparsity, heavy-tailed degrees, determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+
+#include "common/rng.hpp"
 #include "datasets/spec.hpp"
 #include "datasets/synthetic.hpp"
 #include "graph/stats.hpp"
@@ -182,6 +187,65 @@ TEST(Generate, FullDatasetBundlesGraphAndFeatures) {
   EXPECT_EQ(d.graph.vertex_count(), d.spec.vertices);
   EXPECT_EQ(d.features.row_count(), d.spec.vertices);
   EXPECT_EQ(d.features.col_count(), d.spec.feature_length);
+}
+
+TEST(Generate, NearDenseFeatureRowsStayWithinFeatureLength) {
+  // Below about 5% sparsity Region A's center passes the feature length.
+  for (double sparsity : {0.0, 0.02}) {
+    DatasetSpec spec = spec_of(DatasetId::kPpi).scaled(0.01);
+    spec.feature_sparsity = sparsity;
+    const SparseMatrix f = generate_features(spec, 1);
+    ASSERT_EQ(f.row_count(), spec.vertices);
+    for (std::size_t r = 0; r < f.row_count(); ++r) {
+      EXPECT_LE(f.row(r).nnz(), spec.feature_length) << "sparsity " << sparsity << " row " << r;
+    }
+  }
+}
+
+/// Test-local copy of generate_features' original index selection: every
+/// key, one nth_element over all of them, the first k indices sorted.
+std::vector<std::uint32_t> full_array_top(const std::vector<double>& u,
+                                          const std::vector<double>& r, std::size_t k) {
+  std::vector<std::pair<double, std::uint32_t>> keys(u.size());
+  for (std::uint32_t i = 0; i < u.size(); ++i) keys[i] = {std::log(u[i]) * r[i], i};
+  std::nth_element(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(k), keys.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<std::uint32_t> idx(k);
+  for (std::size_t i = 0; i < k; ++i) idx[i] = keys[i].second;
+  std::sort(idx.begin(), idx.end());
+  return idx;
+}
+
+TEST(TopKeys, MatchesFullArraySelection) {
+  // Three kinds of rows: continuous draws; draws from four values, so keys
+  // tie everywhere under uniform weights; and draws with many u = 1e-300
+  // (the generator's substitute for u = 0), which tie at any index skew
+  // and sit far below every level's bound.
+  constexpr std::array<double, 5> kSkews = {0.0, 0.03, 0.25, 1.0, -0.3};
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto f = static_cast<std::uint32_t>(1 + rng.next_below(400));
+    const double s = kSkews[rng.next_below(kSkews.size())];
+    std::vector<double> r(f);
+    for (std::uint32_t i = 0; i < f; ++i) r[i] = std::pow(static_cast<double>(i) + 1.0, s);
+    TopKeys top(r);
+    const int kind = trial % 3;
+    for (int row = 0; row < 8; ++row) {
+      std::vector<double> u(f);
+      for (double& x : u) {
+        x = rng.next_double();
+        if (kind == 1) x = static_cast<double>(1 + rng.next_below(4)) / 5.0;
+        if (kind == 2 && rng.next_below(4) == 0) x = 0.0;
+        if (x <= 0.0) x = 1e-300;
+      }
+      // Mostly small k, where the filter runs; sometimes any k up to f.
+      const std::uint64_t k_max = row % 4 == 0 ? f : std::max<std::uint32_t>(1, f / 8);
+      std::vector<std::uint32_t> idx(1 + rng.next_below(k_max));
+      top.select(u, idx);
+      ASSERT_EQ(idx, full_array_top(u, r, idx.size()))
+          << "trial " << trial << " f " << f << " s " << s << " k " << idx.size();
+    }
+  }
 }
 
 class GenerateAllSpecs : public ::testing::TestWithParam<std::string> {};
