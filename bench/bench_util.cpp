@@ -9,6 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace gnnie::bench {
 
@@ -64,10 +65,33 @@ void print_banner(const std::string& experiment, const std::string& claim) {
   std::printf("==========================================================================\n");
 }
 
+namespace {
+
+/// generate_dataset, synthesizing each (spec, seed) once per process: the
+/// figure benches build the same dataset for every model or config they
+/// sweep. Returns a copy, so callers own their workload as before.
+Dataset memoized_dataset(const DatasetSpec& spec, std::uint64_t seed) {
+  struct Entry {
+    DatasetSpec spec;
+    std::uint64_t seed;
+    Dataset data;
+  };
+  static std::mutex mutex;
+  static std::vector<Entry> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  for (const Entry& e : cache) {
+    if (e.seed == seed && e.spec == spec) return e.data;
+  }
+  cache.push_back({spec, seed, generate_dataset(spec, seed)});
+  return cache.back().data;
+}
+
+}  // namespace
+
 Workload make_workload(const DatasetSpec& spec, double scale, GnnKind kind,
                        std::uint64_t seed) {
   Workload w;
-  w.data = generate_dataset(spec.scaled(scale), seed);
+  w.data = memoized_dataset(spec.scaled(scale), seed);
   w.model.kind = kind;
   w.model.input_dim = w.data.spec.feature_length;
   w.model.hidden_dim = 128;  // Table III

@@ -53,7 +53,8 @@ struct Workload {
 };
 
 /// Builds the Table III configuration (hidden 128, 2 layers, sample 25) for
-/// a dataset at `scale`.
+/// a dataset at `scale`. Each (spec, scale, seed) dataset is synthesized
+/// once per process and copied into every workload built on it.
 Workload make_workload(const DatasetSpec& spec, double scale, GnnKind kind,
                        std::uint64_t seed);
 

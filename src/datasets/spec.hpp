@@ -34,6 +34,8 @@ struct DatasetSpec {
   /// Uniformly scaled copy (vertices and edges by `factor`, mean degree
   /// preserved); used to keep Reddit-class runs laptop-sized.
   DatasetSpec scaled(double factor) const;
+
+  friend bool operator==(const DatasetSpec&, const DatasetSpec&) = default;
 };
 
 /// The five Table II rows.
