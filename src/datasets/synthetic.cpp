@@ -102,7 +102,7 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
     std::size_t home;
   };
   constexpr std::size_t kLookahead = 16;
-  std::array<Attempt, kLookahead> ahead;
+  std::array<Attempt, kLookahead> ahead{};
   const auto draw = [&]() -> Attempt {
     const VertexId u = endpoints.sample(rng);
     const VertexId v = endpoints.sample(rng);

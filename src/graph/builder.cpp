@@ -1,7 +1,5 @@
 #include "graph/builder.hpp"
 
-#include <algorithm>
-
 #include "common/require.hpp"
 
 namespace gnnie {
@@ -35,9 +33,8 @@ GraphBuilder& GraphBuilder::remove_self_loops() {
 
 Csr GraphBuilder::build() const {
   // Two stable counting sorts — by destination, then by source — leave every
-  // row sorted in O(V + E), where one comparator sort of the (src, dst) list
-  // took O(E log E). Dropping repeats within each row then gives the same
-  // canonical CSR.
+  // row sorted in O(V + E); dropping repeats within each row then gives the
+  // canonical CSR (rows ascending, no duplicate edges).
   const std::size_t n = vertex_count_;
   const auto prefix_counts = [n, this](auto endpoint) {
     std::vector<EdgeId> starts(n + 1, 0);
