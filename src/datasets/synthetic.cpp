@@ -260,6 +260,7 @@ TopKeys::TopKeys(std::vector<double> recip_weight)
 void TopKeys::select(std::span<const double> u, std::vector<std::uint32_t>& idx) {
   const std::size_t k = idx.size();
   const std::size_t f = r_.size();
+  GNNIE_REQUIRE(u.size() == f && k <= f, "one uniform per index, at most one pick each");
   if (k == 0) return;
   // Start where the expected candidate count clears k by three standard
   // deviations, so escalations are rare.

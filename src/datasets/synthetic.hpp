@@ -73,7 +73,8 @@ class TopKeys {
   explicit TopKeys(std::vector<double> recip_weight);
 
   /// Writes the indices of the idx.size() largest keys of u, ascending.
-  /// u.size() must equal the weight count and every u_i lie in (0, 1).
+  /// u.size() must equal the weight count, idx.size() must not exceed it,
+  /// and every u_i must lie in (0, 1).
   void select(std::span<const double> u, std::vector<std::uint32_t>& idx);
 
  private:
