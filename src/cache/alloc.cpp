@@ -73,7 +73,10 @@ WorkloadCacheAnalysis analyze_workload(const Csr& g, std::uint64_t capacity) {
   for (CachePolicyKind kind : all_cache_policy_kinds()) {
     WorkloadCacheAnalysis::PolicyEntry entry;
     entry.kind = kind;
-    entry.replay = replay_policy(trace, capacity, *CachePolicy::make(kind), g);
+    // The oracle's row is the oracle replay itself: no second replay.
+    entry.replay = kind == CachePolicyKind::kBeladyOracle
+                       ? a.oracle
+                       : replay_policy(trace, capacity, *CachePolicy::make(kind), g);
     entry.fraction_of_oracle = a.oracle.hit_rate() > 0.0
                                    ? entry.replay.hit_rate() / a.oracle.hit_rate()
                                    : 1.0;

@@ -1,9 +1,7 @@
 #include "cache/replay.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <set>
-#include <utility>
-#include <vector>
 
 #include "common/require.hpp"
 
@@ -12,88 +10,67 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-/// next_use[i] = position of the next access to accesses[i] after i
-/// (kNever when i is the last). One reverse pass over the trace.
-std::vector<std::uint64_t> next_use_of(const AccessTrace& trace) {
-  std::vector<std::uint64_t> next(trace.accesses.size());
-  std::vector<std::uint64_t> upcoming(trace.vertex_count, kNever);
-  for (std::size_t i = trace.accesses.size(); i-- > 0;) {
-    const VertexId v = trace.accesses[i];
-    next[i] = upcoming[v];
-    upcoming[v] = i;
-  }
-  return next;
-}
+/// Per-vertex buffer state of the pinned-LRU replay.
+enum : std::uint8_t { kAbsent = 0, kCached = 1, kPinned = 2 };
 
 }  // namespace
 
-ReplayResult replay_lru(const AccessTrace& trace, std::uint64_t capacity) {
+BeladyBuffer::BeladyBuffer(const AccessTrace& trace, std::uint64_t capacity)
+    : capacity_(capacity),
+      // At most min(capacity, |V|) entries are live.
+      compact_at_(2 * std::min<std::uint64_t>(capacity, trace.vertex_count) + 64),
+      next_use_(trace.accesses.size()),
+      due_(trace.vertex_count, kNever),
+      in_cache_(trace.vertex_count, 0) {
   GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
-  ReplayResult r;
-  r.accesses = trace.accesses.size();
-  const VertexId v_count = trace.vertex_count;
-  // Intrusive LRU list over vertex ids, v_count as the sentinel (the same
-  // structure the on-demand engine uses, so the two cannot drift).
-  std::vector<bool> in_cache(v_count, false);
-  std::vector<VertexId> prev(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::vector<VertexId> next(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::uint64_t cached = 0;
-  auto unlink = [&](VertexId v) {
-    next[prev[v]] = next[v];
-    prev[next[v]] = prev[v];
-  };
-  auto push_front = [&](VertexId v) {
-    next[v] = next[v_count];
-    prev[v] = v_count;
-    prev[next[v_count]] = v;
-    next[v_count] = v;
-  };
-  for (VertexId v : trace.accesses) {
-    if (in_cache[v]) {
-      unlink(v);
-      push_front(v);
-      continue;
-    }
-    ++r.fetches;
-    if (cached >= capacity) {
-      const VertexId victim = prev[v_count];
-      unlink(victim);
-      in_cache[victim] = false;
-      --cached;
-    }
-    in_cache[v] = true;
-    push_front(v);
-    ++cached;
+  // One reverse pass: next_use_[i] is the position of the next access to
+  // accesses[i] after i (kNever when i is the last), and due_ ends up at
+  // each vertex's first access.
+  for (std::size_t i = trace.accesses.size(); i-- > 0;) {
+    const VertexId v = trace.accesses[i];
+    next_use_[i] = due_[v];
+    due_[v] = i;
   }
-  return r;
+  heap_.reserve(compact_at_ + 1);
+}
+
+bool BeladyBuffer::access(VertexId v) {
+  const std::uint64_t i = position_++;
+  GNNIE_ASSERT(v < due_.size() && due_[v] == i, "access does not follow the trace");
+  const std::uint64_t next = next_use_[i];
+  due_[v] = next;
+  const bool hit = in_cache_[v] != 0;
+  if (!hit) {
+    if (cached_ >= capacity_) {
+      // Stale keys are ≤ i < every live key, so the top is live.
+      std::pop_heap(heap_.begin(), heap_.end());
+      in_cache_[heap_.back().second] = 0;
+      heap_.pop_back();
+      --cached_;
+    }
+    in_cache_[v] = 1;
+    ++cached_;
+  }
+  // A hit leaves the old entry (key i) behind as a stale entry.
+  heap_.emplace_back(next, v);
+  std::push_heap(heap_.begin(), heap_.end());
+  if (heap_.size() > compact_at_) {
+    // Live keys are > i, stale ones ≤ i.
+    std::erase_if(heap_, [i](const auto& e) { return e.first <= i; });
+    std::make_heap(heap_.begin(), heap_.end());
+  }
+  return hit;
+}
+
+ReplayResult replay_lru(const AccessTrace& trace, std::uint64_t capacity) {
+  return replay_pinned_lru(trace, capacity, {});
 }
 
 ReplayResult replay_belady(const AccessTrace& trace, std::uint64_t capacity) {
-  GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
+  BeladyBuffer buffer(trace, capacity);
   ReplayResult r;
   r.accesses = trace.accesses.size();
-  const std::vector<std::uint64_t> next = next_use_of(trace);
-  std::vector<bool> in_cache(trace.vertex_count, false);
-  std::vector<std::uint64_t> key(trace.vertex_count, 0);  // current next-use key
-  // Cached set ordered by next use; rbegin() is the farthest-future vertex
-  // (never-used-again entries sort last and are evicted first).
-  std::set<std::pair<std::uint64_t, VertexId>> by_next_use;
-  for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
-    const VertexId v = trace.accesses[i];
-    if (in_cache[v]) {
-      by_next_use.erase({key[v], v});
-    } else {
-      ++r.fetches;
-      if (by_next_use.size() >= capacity) {
-        const auto farthest = std::prev(by_next_use.end());
-        in_cache[farthest->second] = false;
-        by_next_use.erase(farthest);
-      }
-      in_cache[v] = true;
-    }
-    key[v] = next[i];
-    by_next_use.insert({key[v], v});
-  }
+  for (VertexId v : trace.accesses) r.fetches += buffer.access(v) ? 0 : 1;
   return r;
 }
 
@@ -104,15 +81,21 @@ ReplayResult replay_pinned_lru(const AccessTrace& trace, std::uint64_t capacity,
   ReplayResult r;
   r.accesses = trace.accesses.size();
   const VertexId v_count = trace.vertex_count;
-  std::vector<bool> is_pinned(v_count, false);
+  std::vector<std::uint8_t> state(v_count, kAbsent);
   for (VertexId v : pinned) {
     GNNIE_REQUIRE(v < v_count, "pinned vertex out of range");
-    GNNIE_REQUIRE(!is_pinned[v], "pinned vertices must be distinct");
-    is_pinned[v] = true;
+    GNNIE_REQUIRE(state[v] != kPinned, "pinned vertices must be distinct");
+    state[v] = kPinned;
     ++r.fetches;  // the preload is a real DRAM fetch
   }
   const std::uint64_t lru_capacity = capacity - pinned.size();
-  std::vector<bool> in_cache(v_count, false);
+  if (lru_capacity == 0) {
+    // Nothing can be retained: every unpinned access fetches.
+    for (VertexId v : trace.accesses) r.fetches += state[v] == kPinned ? 0 : 1;
+    return r;
+  }
+  // Intrusive LRU list over vertex ids, v_count as the sentinel (the same
+  // structure the on-demand engine uses, so the two cannot drift).
   std::vector<VertexId> prev(static_cast<std::size_t>(v_count) + 1, v_count);
   std::vector<VertexId> next(static_cast<std::size_t>(v_count) + 1, v_count);
   std::uint64_t cached = 0;
@@ -127,21 +110,21 @@ ReplayResult replay_pinned_lru(const AccessTrace& trace, std::uint64_t capacity,
     next[v_count] = v;
   };
   for (VertexId v : trace.accesses) {
-    if (is_pinned[v]) continue;  // resident for the whole run
-    if (in_cache[v]) {
+    const std::uint8_t s = state[v];
+    if (s == kPinned) continue;  // resident for the whole run
+    if (s == kCached) {
       unlink(v);
       push_front(v);
       continue;
     }
     ++r.fetches;
-    if (lru_capacity == 0) continue;  // nothing can be retained
     if (cached >= lru_capacity) {
       const VertexId victim = prev[v_count];
       unlink(victim);
-      in_cache[victim] = false;
+      state[victim] = kAbsent;
       --cached;
     }
-    in_cache[v] = true;
+    state[v] = kCached;
     push_front(v);
     ++cached;
   }

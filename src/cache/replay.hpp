@@ -14,7 +14,10 @@
 //
 //   * replay_lru        — the on-demand engine's discipline (HyGCN-style).
 //   * replay_belady     — offline-optimal (Ginex): evict the cached vertex
-//                         whose next use is farthest in the future.
+//                         whose next use is farthest in the future. The
+//                         buffer itself is BeladyBuffer, which the engine's
+//                         belady-oracle policy runs too, so the two cannot
+//                         drift.
 //   * replay_pinned_lru — DCI-style dual cache: a preloaded, never-evicted
 //                         hub region plus an LRU fill region over the rest
 //                         of the capacity. With |pinned| == capacity this
@@ -25,6 +28,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "cache/access_trace.hpp"
 
@@ -43,6 +48,44 @@ struct ReplayResult {
   }
 };
 
+/// Belady's offline-optimal input buffer over a known access trace.
+///
+/// Serve the trace's accesses in order through access(); each returns
+/// whether it hit. A miss loads the vertex, first evicting the cached
+/// vertex whose next use is farthest away (never-reused vertices first,
+/// largest id first among them).
+///
+/// The cached set lives in a lazy max-heap of (next use, vertex) entries,
+/// which replays a next-use-ordered std::set exactly. On a hit at position
+/// i the vertex's key is i and every other cached key is greater, so the
+/// hit entry is the set's minimum. It stays in the heap as a stale entry
+/// with key ≤ i, below every live key, so the top is live whenever an
+/// eviction runs. Stale entries are dropped once the heap passes
+/// 2·capacity + 64 entries, which keeps it O(capacity) at O(1) amortized
+/// cost per access.
+class BeladyBuffer {
+ public:
+  BeladyBuffer(const AccessTrace& trace, std::uint64_t capacity);
+
+  /// Whether `v` is in the buffer now.
+  bool contains(VertexId v) const { return in_cache_[v] != 0; }
+
+  /// Serves the trace's next access, which must be to `v` (checked).
+  /// Returns true on a hit; a miss loads `v`.
+  bool access(VertexId v);
+
+ private:
+  std::uint64_t capacity_;
+  std::uint64_t compact_at_;  ///< heap size that triggers dropping stale entries
+  std::uint64_t cached_ = 0;
+  std::uint64_t position_ = 0;              ///< index of the next access
+  std::vector<std::uint64_t> next_use_;     ///< per access: next access to that vertex
+  std::vector<std::uint64_t> due_;          ///< per vertex: its next access position
+  std::vector<std::uint8_t> in_cache_;      ///< per vertex
+  std::vector<std::pair<std::uint64_t, VertexId>> heap_;  ///< (next use, vertex)
+};
+
+/// Plain LRU over the whole capacity: replay_pinned_lru with nothing pinned.
 ReplayResult replay_lru(const AccessTrace& trace, std::uint64_t capacity);
 
 ReplayResult replay_belady(const AccessTrace& trace, std::uint64_t capacity);

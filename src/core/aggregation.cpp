@@ -4,11 +4,12 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <set>
+#include <optional>
 #include <utility>
 
 #include "cache/access_trace.hpp"
 #include "cache/alloc.hpp"
+#include "cache/replay.hpp"
 #include "common/require.hpp"
 #include "graph/reorder.hpp"
 
@@ -933,25 +934,11 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
   }
 
   // Belady oracle (kBelady): the access sequence of the loop below is
-  // deterministic and equals AccessTrace::from_graph, so the next-use chain
-  // can be precomputed and replayed with perfect future knowledge. acc_idx
-  // advances once per ensure_cached call — the trace and the loop cannot
-  // drift without tripping the bounds assert.
-  constexpr std::uint64_t kNeverUsed = std::numeric_limits<std::uint64_t>::max();
-  std::vector<std::uint64_t> next_use;
-  std::vector<std::uint64_t> belady_key;
-  std::set<std::pair<std::uint64_t, VertexId>> by_next_use;
-  std::size_t acc_idx = 0;
-  if (discipline == ReplacementKind::kBelady) {
-    const cache::AccessTrace trace = cache::AccessTrace::from_graph(g);
-    next_use.assign(trace.accesses.size(), kNeverUsed);
-    std::vector<std::uint64_t> upcoming(v_count, kNeverUsed);
-    for (std::size_t i = trace.accesses.size(); i-- > 0;) {
-      next_use[i] = upcoming[trace.accesses[i]];
-      upcoming[trace.accesses[i]] = i;
-    }
-    belady_key.assign(v_count, 0);
-  }
+  // deterministic and equals AccessTrace::from_graph, so the trace replay's
+  // own buffer serves it with perfect future knowledge. The buffer checks
+  // every access against the trace, so the two cannot drift.
+  std::optional<cache::BeladyBuffer> belady;
+  if (discipline == ReplacementKind::kBelady) belady.emplace(cache::AccessTrace::from_graph(g), n);
 
   auto ensure_cached = [&](VertexId v, bool random) {
     ++rep.buffer_accesses;
@@ -998,27 +985,13 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
         lru_push_front(v);
         ++cached_count;
         return;
-      case ReplacementKind::kBelady: {
-        GNNIE_ASSERT(acc_idx < next_use.size(), "belady trace out of sync with the run");
-        const std::uint64_t nu = next_use[acc_idx++];
-        if (in_cache[v]) {
+      case ReplacementKind::kBelady:
+        if (belady->access(v)) {
           ++rep.buffer_hits;
-          by_next_use.erase({belady_key[v], v});
-        } else {
-          charge_fetch(v, random);
-          if (by_next_use.size() >= n) {
-            // Evict the cached vertex whose next use is farthest away
-            // (never-used-again entries sort last and leave first).
-            const auto farthest = std::prev(by_next_use.end());
-            in_cache[farthest->second] = false;
-            by_next_use.erase(farthest);
-          }
-          in_cache[v] = true;
+          return;
         }
-        belady_key[v] = nu;
-        by_next_use.insert({belady_key[v], v});
+        charge_fetch(v, random);
         return;
-      }
     }
   };
 
@@ -1077,7 +1050,8 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     auto nb = g.neighbors(v);
     std::uint32_t deg_here = 0;
     for (VertexId w : nb) {
-      ensure_cached(w, /*random=*/!in_cache[w]);
+      // Only a miss is charged, and a neighbor's miss is a random read.
+      ensure_cached(w, /*random=*/true);
       state.contribute(task, v, w);
       ++window_accums;
       window_sfu += gat_extra;
