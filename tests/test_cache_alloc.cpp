@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/access_trace.hpp"
@@ -18,6 +21,7 @@
 #include "core/aggregation.hpp"
 #include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
+#include "graph/builder.hpp"
 #include "graph/reorder.hpp"
 #include "nn/layers.hpp"
 #include "serve/cluster.hpp"
@@ -319,6 +323,214 @@ TEST(CacheOracle, DualSplitSearchIsDeterministicAndWithinCapacity) {
   EXPECT_EQ(split.result.fetches, direct.fetches);
 }
 
+// ---- Replay properties against reference simulators -------------------------
+
+// Reference simulators: straightforward versions of the replays, kept here
+// as the yardstick the production loops must match access for access.
+
+/// Belady over a next-use-ordered std::set.
+class SetBelady {
+ public:
+  SetBelady(const cache::AccessTrace& trace, std::uint64_t capacity)
+      : trace_(trace), capacity_(capacity), next_(trace.accesses.size()),
+        key_(trace.vertex_count, 0), in_cache(trace.vertex_count, false) {
+    constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> upcoming(trace.vertex_count, kNever);
+    for (std::size_t i = trace.accesses.size(); i-- > 0;) {
+      next_[i] = upcoming[trace.accesses[i]];
+      upcoming[trace.accesses[i]] = i;
+    }
+  }
+
+  /// Serves access i of the trace; true on a hit.
+  bool access(std::size_t i) {
+    const VertexId v = trace_.accesses[i];
+    const bool hit = in_cache[v];
+    if (hit) {
+      by_next_use_.erase({key_[v], v});
+    } else {
+      if (by_next_use_.size() >= capacity_) {
+        const auto farthest = std::prev(by_next_use_.end());
+        in_cache[farthest->second] = false;
+        by_next_use_.erase(farthest);
+      }
+      in_cache[v] = true;
+    }
+    key_[v] = next_[i];
+    by_next_use_.insert({key_[v], v});
+    return hit;
+  }
+
+ private:
+  const cache::AccessTrace& trace_;
+  std::uint64_t capacity_;
+  std::vector<std::uint64_t> next_;
+  std::vector<std::uint64_t> key_;
+  std::set<std::pair<std::uint64_t, VertexId>> by_next_use_;
+
+ public:
+  std::vector<bool> in_cache;
+};
+
+std::uint64_t reference_belady_fetches(const cache::AccessTrace& trace,
+                                       std::uint64_t capacity) {
+  SetBelady reference(trace, capacity);
+  std::uint64_t fetches = 0;
+  for (std::size_t i = 0; i < trace.accesses.size(); ++i) fetches += reference.access(i) ? 0 : 1;
+  return fetches;
+}
+
+/// Pinned-LRU fetch count over a recency list (pinned may be empty).
+std::uint64_t reference_pinned_lru_fetches(const cache::AccessTrace& trace,
+                                           std::uint64_t capacity,
+                                           const std::vector<VertexId>& pinned) {
+  std::vector<bool> is_pinned(trace.vertex_count, false);
+  for (VertexId v : pinned) is_pinned[v] = true;
+  const std::uint64_t lru_capacity = capacity - pinned.size();
+  std::uint64_t fetches = pinned.size();
+  std::vector<VertexId> recency;  // front = most recently used
+  for (VertexId v : trace.accesses) {
+    if (is_pinned[v]) continue;
+    const auto it = std::find(recency.begin(), recency.end(), v);
+    if (it != recency.end()) {
+      recency.erase(it);
+      recency.insert(recency.begin(), v);
+      continue;
+    }
+    ++fetches;
+    if (lru_capacity == 0) continue;
+    if (recency.size() >= lru_capacity) recency.pop_back();
+    recency.insert(recency.begin(), v);
+  }
+  return fetches;
+}
+
+struct ReplayCase {
+  std::string name;
+  cache::AccessTrace trace;
+};
+
+/// Seeded traces covering the replays' edge cases: one vertex, vertices
+/// never reused (ties among never-reused keys), hot vertices amid cold
+/// ones, and skewed random reuse.
+std::vector<ReplayCase> replay_cases() {
+  std::vector<ReplayCase> cases;
+  Rng rng(2024);
+  {
+    cache::AccessTrace t;
+    t.vertex_count = 1;
+    t.accesses.assign(40, 0);
+    cases.push_back({"single-vertex", t});
+  }
+  {
+    cache::AccessTrace t;
+    t.vertex_count = 300;
+    t.accesses.resize(t.vertex_count);
+    std::iota(t.accesses.begin(), t.accesses.end(), VertexId{0});
+    rng.shuffle(t.accesses);
+    cases.push_back({"never-reused", t});
+  }
+  {
+    // A few hot vertices amid a stream of one-shot cold ones.
+    cache::AccessTrace t;
+    t.vertex_count = 400;
+    VertexId cold = 8;
+    for (int i = 0; i < 600; ++i) {
+      if (rng.next_below(3) == 0 && cold < t.vertex_count) {
+        t.accesses.push_back(cold++);
+      } else {
+        t.accesses.push_back(static_cast<VertexId>(rng.next_below(8)));
+      }
+    }
+    cases.push_back({"hot-amid-cold", t});
+  }
+  for (int seed = 0; seed < 6; ++seed) {
+    cache::AccessTrace t;
+    t.vertex_count = static_cast<VertexId>(2 + rng.next_below(120));
+    const std::uint64_t length = 1 + rng.next_below(1500);
+    for (std::uint64_t i = 0; i < length; ++i) {
+      // Skewed reuse: low ids are drawn far more often.
+      const std::uint64_t span = 1 + rng.next_below(t.vertex_count);
+      t.accesses.push_back(static_cast<VertexId>(rng.next_below(span)));
+    }
+    cases.push_back({"skewed-" + std::to_string(seed), t});
+  }
+  return cases;
+}
+
+/// Capacity 1, a few small ones, the distinct count, and beyond it.
+std::vector<std::uint64_t> replay_capacities(const cache::AccessTrace& trace) {
+  const std::uint64_t distinct = trace.distinct_count();
+  return {1, 2, 3, 8, std::max<std::uint64_t>(1, distinct / 2), distinct, distinct + 5};
+}
+
+TEST(ReplayProperties, BeladyBufferMatchesSetReplayAccessForAccess) {
+  // Same hit on every access and the same resident set after it — the
+  // latter also pins the victim among tied never-reused vertices.
+  for (const ReplayCase& c : replay_cases()) {
+    for (std::uint64_t capacity : replay_capacities(c.trace)) {
+      SetBelady reference(c.trace, capacity);
+      cache::BeladyBuffer buffer(c.trace, capacity);
+      std::uint64_t misses = 0;
+      for (std::size_t i = 0; i < c.trace.accesses.size(); ++i) {
+        const bool hit = buffer.access(c.trace.accesses[i]);
+        ASSERT_EQ(hit, reference.access(i))
+            << c.name << " capacity " << capacity << " access " << i;
+        for (VertexId u = 0; u < c.trace.vertex_count; ++u) {
+          ASSERT_EQ(buffer.contains(u), reference.in_cache[u])
+              << c.name << " capacity " << capacity << " access " << i << " vertex " << u;
+        }
+        misses += hit ? 0 : 1;
+      }
+      const cache::ReplayResult r = cache::replay_belady(c.trace, capacity);
+      EXPECT_EQ(r.accesses, c.trace.accesses.size());
+      EXPECT_EQ(r.fetches, misses) << c.name << " capacity " << capacity;
+      // Compulsory misses only once everything fits.
+      if (capacity >= c.trace.distinct_count()) {
+        EXPECT_EQ(r.fetches, c.trace.distinct_count()) << c.name;
+      }
+    }
+  }
+}
+
+TEST(ReplayProperties, BeladyBufferRejectsAccessesOffTheTrace) {
+  cache::AccessTrace t;
+  t.vertex_count = 4;
+  t.accesses = {0, 1, 2};
+  cache::BeladyBuffer buffer(t, 2);
+  EXPECT_FALSE(buffer.access(0));
+  EXPECT_THROW(buffer.access(2), std::logic_error);  // trace says 1
+  cache::BeladyBuffer past_end(t, 2);
+  for (VertexId v : t.accesses) past_end.access(v);
+  EXPECT_THROW(past_end.access(0), std::logic_error);
+  EXPECT_THROW(cache::BeladyBuffer(t, 0), std::invalid_argument);
+}
+
+TEST(ReplayProperties, LruReplaysMatchReferenceLoops) {
+  for (const ReplayCase& c : replay_cases()) {
+    // Hub order for the pins: the most frequent vertices first.
+    std::vector<std::uint64_t> freq(c.trace.vertex_count, 0);
+    for (VertexId v : c.trace.accesses) ++freq[v];
+    std::vector<VertexId> hot(c.trace.vertex_count);
+    std::iota(hot.begin(), hot.end(), VertexId{0});
+    std::stable_sort(hot.begin(), hot.end(),
+                     [&](VertexId a, VertexId b) { return freq[a] > freq[b]; });
+    for (std::uint64_t capacity : replay_capacities(c.trace)) {
+      const std::uint64_t lru = cache::replay_lru(c.trace, capacity).fetches;
+      EXPECT_EQ(lru, reference_pinned_lru_fetches(c.trace, capacity, {}))
+          << c.name << " capacity " << capacity;
+      EXPECT_EQ(cache::replay_pinned_lru(c.trace, capacity, {}).fetches, lru);
+      const std::uint64_t max_pinned = std::min<std::uint64_t>(capacity, hot.size());
+      for (std::uint64_t pinned : {std::uint64_t{0}, max_pinned / 2, max_pinned}) {
+        const std::vector<VertexId> pins(hot.begin(), hot.begin() + pinned);
+        EXPECT_EQ(cache::replay_pinned_lru(c.trace, capacity, pins).fetches,
+                  reference_pinned_lru_fetches(c.trace, capacity, pins))
+            << c.name << " capacity " << capacity << " pinned " << pinned;
+      }
+    }
+  }
+}
+
 // ---- Engine ↔ replay consistency -------------------------------------------
 
 struct EngineRun {
@@ -386,6 +598,95 @@ TEST(EngineReplayConsistency, DualEngineFetchesMatchSplitSearch) {
   EXPECT_EQ(hinted.rep.dram_bytes, run.rep.dram_bytes);
   EXPECT_EQ(hinted.rep.total_cycles, run.rep.total_cycles);
   EXPECT_EQ(Matrix::max_abs_diff(hinted.out, run.out), 0.0f);
+}
+
+/// A seeded small random graph: directed or undirected, with a few
+/// isolated vertices (ids never drawn as endpoints).
+Csr random_small_graph(Rng& rng, bool directed) {
+  const auto v_count = static_cast<VertexId>(1 + rng.next_below(90));
+  const auto connected = static_cast<VertexId>(1 + rng.next_below(v_count));
+  GraphBuilder b(v_count);
+  const std::uint64_t edges = rng.next_below(4 * static_cast<std::uint64_t>(connected) + 1);
+  for (std::uint64_t e = 0; e < edges; ++e) {
+    b.add_edge(static_cast<VertexId>(rng.next_below(connected)),
+               static_cast<VertexId>(rng.next_below(connected)));
+  }
+  b.remove_self_loops();
+  if (!directed) b.symmetrize();
+  return b.build();
+}
+
+TEST(EngineReplayConsistency, RandomGraphsEngineMissesMatchReplays) {
+  // Seeded random graphs and buffer sizes: under every replay-exact policy
+  // the engine's misses (plus dual-cache preloads) equal the replay's
+  // fetches, and analyze_workload's oracle row is the oracle.
+  Rng rng(77);
+  for (int round = 0; round < 40; ++round) {
+    const bool directed = round % 2 == 1;
+    const Csr g = random_small_graph(rng, directed);
+    const Matrix hw = random_dense(g.vertex_count(), 8, 100 + round);
+    EngineConfig cfg = EngineConfig::paper_default(false);
+    cfg.buffers.input = 1 + rng.next_below(6000);  // capacity from 8 up to |V|
+    const cache::AccessTrace trace = cache::AccessTrace::from_graph(g);
+    auto run = [&](CachePolicyKind kind, std::uint64_t hint) {
+      const auto policy = CachePolicy::make(kind);
+      HbmModel hbm(cfg.hbm);
+      AggregationEngine eng(cfg, &hbm);
+      AggregationTask task;
+      task.graph = &g;
+      task.directed = directed;
+      task.hw = &hw;
+      task.kind = directed ? AggKind::kPlainSum : AggKind::kGcnNormalizedSum;
+      task.policy = policy.get();
+      task.dual_pinned_hint = hint;
+      AggregationReport rep;
+      eng.run(task, &rep);
+      EXPECT_EQ(rep.buffer_accesses, trace.accesses.size());
+      return rep;
+    };
+    const std::string where = "round " + std::to_string(round) +
+                              (directed ? " directed" : " undirected") + " |V| " +
+                              std::to_string(g.vertex_count());
+
+    const AggregationReport lru = run(CachePolicyKind::kOnDemand, kNoDualPinnedHint);
+    const std::uint64_t capacity = lru.cache_capacity_vertices;
+    EXPECT_EQ(lru.buffer_accesses - lru.buffer_hits,
+              cache::replay_lru(trace, capacity).fetches)
+        << where;
+
+    const AggregationReport belady = run(CachePolicyKind::kBeladyOracle, kNoDualPinnedHint);
+    const cache::ReplayResult oracle = cache::replay_belady(trace, capacity);
+    EXPECT_EQ(belady.buffer_accesses - belady.buffer_hits, oracle.fetches) << where;
+    EXPECT_EQ(oracle.fetches, reference_belady_fetches(trace, capacity)) << where;
+
+    const AggregationReport dual = run(CachePolicyKind::kDualCache, kNoDualPinnedHint);
+    const cache::DualSplit split = cache::best_dual_split(trace, capacity, g);
+    EXPECT_EQ(dual.dual_pinned_vertices, split.pinned) << where;
+    EXPECT_EQ(dual.buffer_accesses - dual.buffer_hits + dual.dual_pinned_vertices,
+              split.result.fetches)
+        << where;
+    // Any hinted pinned-region size replays as that prefix of the hub order.
+    const std::vector<VertexId> hubs = exact_degree_order(g);
+    const std::uint64_t hint = rng.next_below(capacity + 1);
+    const AggregationReport hinted = run(CachePolicyKind::kDualCache, hint);
+    const std::uint64_t p = std::min<std::uint64_t>(hint, hubs.size());
+    EXPECT_EQ(hinted.dual_pinned_vertices, p) << where;
+    EXPECT_EQ(hinted.buffer_accesses - hinted.buffer_hits + hinted.dual_pinned_vertices,
+              cache::replay_pinned_lru(
+                  trace, capacity,
+                  std::span<const VertexId>(hubs.data(), static_cast<std::size_t>(p)))
+                  .fetches)
+        << where;
+
+    const cache::WorkloadCacheAnalysis analysis = cache::analyze_workload(g, capacity);
+    EXPECT_EQ(analysis.oracle.fetches, oracle.fetches) << where;
+    EXPECT_EQ(replay_of(analysis, CachePolicyKind::kBeladyOracle).fetches,
+              analysis.oracle.fetches)
+        << where;
+    EXPECT_EQ(replay_of(analysis, CachePolicyKind::kBeladyOracle).accesses,
+              analysis.oracle.accesses)
+        << where;
+  }
 }
 
 // ---- Functional equivalence -------------------------------------------------
