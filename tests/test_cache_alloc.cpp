@@ -1,8 +1,10 @@
 // Tests for the workload-aware cache-allocation subsystem (src/cache/):
-// the access-trace recorder, the trace-replay simulators, the Belady
-// oracle's optimality bound, the dual-cache split search, the layout
-// invariants every CachePolicy must hold, and the serving-layer wiring
-// (per-plan dual-split artifact, per-die fleet policy knob).
+// the access-trace recorder, the trace-replay simulators (checked against
+// reference simulators on seeded traces), the Belady oracle's optimality
+// bound, engine ↔ replay consistency on seeded random graphs, the
+// dual-cache split search, the layout invariants every CachePolicy must
+// hold, and the serving-layer wiring (per-plan dual-split artifact, per-die
+// fleet policy knob).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -329,47 +331,43 @@ TEST(CacheOracle, DualSplitSearchIsDeterministicAndWithinCapacity) {
 // as the yardstick the production loops must match access for access.
 
 /// Belady over a next-use-ordered std::set.
-class SetBelady {
- public:
-  SetBelady(const cache::AccessTrace& trace, std::uint64_t capacity)
-      : trace_(trace), capacity_(capacity), next_(trace.accesses.size()),
-        key_(trace.vertex_count, 0), in_cache(trace.vertex_count, false) {
+struct SetBelady {
+  SetBelady(const cache::AccessTrace& t, std::uint64_t c)
+      : trace(t), capacity(c), next(t.accesses.size()), key(t.vertex_count, 0),
+        in_cache(t.vertex_count, false) {
     constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-    std::vector<std::uint64_t> upcoming(trace.vertex_count, kNever);
-    for (std::size_t i = trace.accesses.size(); i-- > 0;) {
-      next_[i] = upcoming[trace.accesses[i]];
-      upcoming[trace.accesses[i]] = i;
+    std::vector<std::uint64_t> upcoming(t.vertex_count, kNever);
+    for (std::size_t i = t.accesses.size(); i-- > 0;) {
+      next[i] = upcoming[t.accesses[i]];
+      upcoming[t.accesses[i]] = i;
     }
   }
 
   /// Serves access i of the trace; true on a hit.
   bool access(std::size_t i) {
-    const VertexId v = trace_.accesses[i];
+    const VertexId v = trace.accesses[i];
     const bool hit = in_cache[v];
     if (hit) {
-      by_next_use_.erase({key_[v], v});
+      by_next_use.erase({key[v], v});
     } else {
-      if (by_next_use_.size() >= capacity_) {
-        const auto farthest = std::prev(by_next_use_.end());
+      if (by_next_use.size() >= capacity) {
+        const auto farthest = std::prev(by_next_use.end());
         in_cache[farthest->second] = false;
-        by_next_use_.erase(farthest);
+        by_next_use.erase(farthest);
       }
       in_cache[v] = true;
     }
-    key_[v] = next_[i];
-    by_next_use_.insert({key_[v], v});
+    key[v] = next[i];
+    by_next_use.insert({key[v], v});
     return hit;
   }
 
- private:
-  const cache::AccessTrace& trace_;
-  std::uint64_t capacity_;
-  std::vector<std::uint64_t> next_;
-  std::vector<std::uint64_t> key_;
-  std::set<std::pair<std::uint64_t, VertexId>> by_next_use_;
-
- public:
+  const cache::AccessTrace& trace;
+  std::uint64_t capacity;
+  std::vector<std::uint64_t> next;
+  std::vector<std::uint64_t> key;
   std::vector<bool> in_cache;
+  std::set<std::pair<std::uint64_t, VertexId>> by_next_use;
 };
 
 std::uint64_t reference_belady_fetches(const cache::AccessTrace& trace,
