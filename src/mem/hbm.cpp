@@ -1,11 +1,35 @@
 #include "mem/hbm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/require.hpp"
 
 namespace gnnie {
+namespace {
+
+/// `rounds` times, adds `service` to each of busy[0, channels): each
+/// channel's sum in order, eight channels at a time in registers so the
+/// per-channel add chains overlap.
+void add_rounds(double* busy, std::uint32_t channels, std::uint64_t rounds, double service) {
+  std::uint32_t c = 0;
+  for (; c + 8 <= channels; c += 8) {
+    double a[8];
+    for (int k = 0; k < 8; ++k) a[k] = busy[c + k];
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      for (double& x : a) x += service;
+    }
+    for (int k = 0; k < 8; ++k) busy[c + k] = a[k];
+  }
+  for (; c < channels; ++c) {
+    double x = busy[c];
+    for (std::uint64_t r = 0; r < rounds; ++r) x += service;
+    busy[c] = x;
+  }
+}
+
+}  // namespace
 
 double HbmConfig::burst_cycles() const {
   const double bytes_per_cycle_per_channel =
@@ -13,10 +37,18 @@ double HbmConfig::burst_cycles() const {
   return static_cast<double>(burst_bytes) / bytes_per_cycle_per_channel;
 }
 
+HbmModel::Divisor::Divisor(std::uint64_t divisor) : d(divisor) {
+  if (std::has_single_bit(divisor)) shift = std::countr_zero(divisor);
+}
+
 HbmModel::HbmModel(HbmConfig config) : config_(config), burst_cycles_(config.burst_cycles()) {
   GNNIE_REQUIRE(config_.channels > 0 && config_.banks_per_channel > 0, "need channels/banks");
-  GNNIE_REQUIRE(config_.row_bytes % config_.burst_bytes == 0,
+  GNNIE_REQUIRE(config_.burst_bytes > 0 && config_.row_bytes % config_.burst_bytes == 0,
                 "row size must be a multiple of the burst size");
+  by_burst_ = Divisor(config_.burst_bytes);
+  by_channels_ = Divisor(config_.channels);
+  by_row_ = Divisor(config_.row_bytes / config_.burst_bytes);
+  by_banks_ = Divisor(config_.banks_per_channel);
   banks_.resize(static_cast<std::size_t>(config_.channels) * config_.banks_per_channel);
   channel_busy_.assign(config_.channels, 0.0);
   last_channel_burst_.assign(static_cast<std::size_t>(config_.channels) * kStreamSlots,
@@ -39,8 +71,8 @@ void HbmModel::begin_epoch() { std::fill(channel_busy_.begin(), channel_busy_.en
 void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient client) {
   if (bytes == 0) return;
   ++stats_.accesses;
-  const std::uint64_t first_burst = addr / config_.burst_bytes;
-  const std::uint64_t last_burst = (addr + bytes - 1) / config_.burst_bytes;
+  const std::uint64_t first_burst = by_burst_.div(addr);
+  const std::uint64_t last_burst = by_burst_.div(addr + bytes - 1);
   const std::uint64_t burst_count = last_burst - first_burst + 1;
   const Bytes moved = burst_count * config_.burst_bytes;
 
@@ -56,19 +88,63 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
   // row % banks_per_channel.
   const std::uint32_t channels = config_.channels;
   const std::uint32_t banks = config_.banks_per_channel;
-  const std::uint32_t bursts_per_row = config_.row_bytes / config_.burst_bytes;
-  auto channel = static_cast<std::uint32_t>(first_burst % channels);
-  std::uint64_t channel_burst = first_burst / channels;
-  std::uint64_t row = channel_burst / bursts_per_row;
-  auto in_row = static_cast<std::uint32_t>(channel_burst % bursts_per_row);
-  auto bank = static_cast<std::uint32_t>(row % banks);
+  const auto bursts_per_row = static_cast<std::uint32_t>(by_row_.d);
+  auto channel = static_cast<std::uint32_t>(by_channels_.mod(first_burst));
+  std::uint64_t channel_burst = by_channels_.div(first_burst);
+  std::uint64_t row = by_row_.div(channel_burst);
+  auto in_row = static_cast<std::uint32_t>(by_row_.mod(channel_burst));
+  auto bank = static_cast<std::uint32_t>(by_banks_.mod(row));
   // Reads and writes occupy separate scheduler queues (write buffering),
   // so they form separate streams as well.
   const std::size_t region = std::min<std::uint64_t>(addr >> 36, kStreamSlots / 2 - 1);
   const std::size_t stream_offset = region * 2 + (write ? 1 : 0);
-  for (std::uint64_t left = burst_count; left > 0; --left) {
+  double* busy = channel_busy_.data();
+  std::uint64_t* last_of = last_channel_burst_.data() + stream_offset;
+  // `n` bursts from the current one on, all row hits: the same additions,
+  // in the same order on each channel, as the general step below — whole
+  // rounds of channels as one loop the compiler can vectorize.
+  auto row_hits = [&](std::uint64_t n) {
+    stats_.row_hits += n;
+    const double service = burst_cycles_;
+    while (n > 0) {
+      if (channel == 0 && n >= channels) {
+        const std::uint64_t rounds = n / channels;
+        add_rounds(busy, channels, rounds, service);
+        channel_burst += rounds;
+        for (std::uint32_t c = 0; c < channels; ++c) last_of[c * kStreamSlots] = channel_burst - 1;
+        n -= rounds * channels;
+        continue;
+      }
+      busy[channel] += service;
+      last_of[channel * kStreamSlots] = channel_burst;
+      if (++channel == channels) {
+        channel = 0;
+        ++channel_burst;
+      }
+      --n;
+    }
+  };
+  std::uint64_t left = burst_count;
+  while (left > 0) {
+    if (in_row != 0 && burst_count - left >= channels) {
+      // Every channel has had a burst of this access, one burst back in
+      // this row, so the row is open on each: every burst up to the next
+      // row start hits.
+      const std::uint64_t run = std::min<std::uint64_t>(
+          left, static_cast<std::uint64_t>(bursts_per_row - in_row) * channels - channel);
+      const std::uint64_t from = channel_burst;
+      row_hits(run);
+      left -= run;
+      in_row += static_cast<std::uint32_t>(channel_burst - from);
+      if (in_row == bursts_per_row) {
+        in_row = 0;
+        ++row;
+        if (++bank == banks) bank = 0;
+      }
+      continue;
+    }
     Bank& state = banks_[static_cast<std::size_t>(channel) * banks + bank];
-    std::uint64_t& last = last_channel_burst_[channel * kStreamSlots + stream_offset];
+    std::uint64_t& last = last_of[channel * kStreamSlots];
     const bool streaming = channel_burst == last + 1;
     last = channel_burst;
     double service = burst_cycles_;
@@ -81,7 +157,8 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
       // the current one transfers; a jump pays the full activate+precharge.
       service += streaming ? config_.streaming_miss_penalty : config_.row_miss_penalty;
     }
-    channel_busy_[channel] += service;
+    busy[channel] += service;
+    --left;
 
     if (++channel == channels) {
       channel = 0;
