@@ -89,6 +89,8 @@ int main(int argc, char** argv) {
       task.hw = &hw;
       task.kind = AggKind::kGcnNormalizedSum;
       task.policy = policy.get();
+      // The analysis already searched the dual-cache split.
+      if (entry.kind == CachePolicyKind::kDualCache) task.dual_pinned_hint = analysis.dual_pinned;
       HbmModel hbm(cfg.hbm);
       AggregationEngine eng(cfg, &hbm);
       AggregationReport rep;

@@ -73,10 +73,15 @@ WorkloadCacheAnalysis analyze_workload(const Csr& g, std::uint64_t capacity) {
   for (CachePolicyKind kind : all_cache_policy_kinds()) {
     WorkloadCacheAnalysis::PolicyEntry entry;
     entry.kind = kind;
-    // The oracle's row is the oracle replay itself: no second replay.
-    entry.replay = kind == CachePolicyKind::kBeladyOracle
-                       ? a.oracle
-                       : replay_policy(trace, capacity, *CachePolicy::make(kind), g);
+    if (kind == CachePolicyKind::kBeladyOracle) {
+      entry.replay = a.oracle;  // the oracle's row is the oracle replay itself
+    } else if (kind == CachePolicyKind::kDualCache) {
+      const DualSplit split = best_dual_split(trace, capacity, g);
+      entry.replay = split.result;
+      a.dual_pinned = split.pinned;
+    } else {
+      entry.replay = replay_policy(trace, capacity, *CachePolicy::make(kind), g);
+    }
     entry.fraction_of_oracle = a.oracle.hit_rate() > 0.0
                                    ? entry.replay.hit_rate() / a.oracle.hit_rate()
                                    : 1.0;

@@ -52,6 +52,10 @@ struct WorkloadCacheAnalysis {
   std::uint64_t capacity = 0;
   std::uint64_t trace_accesses = 0;
   ReplayResult oracle;  ///< belady-oracle replay (the denominator)
+  /// The dual-cache row's hub-region size (best_dual_split's). Pass it as
+  /// AggregationTask::dual_pinned_hint so a dual-cache engine run on the
+  /// same graph and capacity skips its own split search.
+  std::uint64_t dual_pinned = 0;
   struct PolicyEntry {
     CachePolicyKind kind;
     ReplayResult replay;

@@ -684,6 +684,10 @@ TEST(EngineReplayConsistency, RandomGraphsEngineMissesMatchReplays) {
     EXPECT_EQ(replay_of(analysis, CachePolicyKind::kBeladyOracle).accesses,
               analysis.oracle.accesses)
         << where;
+    // The analysis's split is the search's, so it can stand in for it.
+    EXPECT_EQ(analysis.dual_pinned, split.pinned) << where;
+    EXPECT_EQ(replay_of(analysis, CachePolicyKind::kDualCache).fetches, split.result.fetches)
+        << where;
   }
 }
 
