@@ -41,14 +41,16 @@ HbmModel::Divisor::Divisor(std::uint64_t divisor) : d(divisor) {
   if (std::has_single_bit(divisor)) shift = std::countr_zero(divisor);
 }
 
-HbmModel::HbmModel(HbmConfig config) : config_(config), burst_cycles_(config.burst_cycles()) {
+HbmModel::HbmModel(HbmConfig config)
+    : config_(config),
+      burst_cycles_(config.burst_cycles()),
+      by_burst_(config.burst_bytes),
+      by_channels_(config.channels),
+      by_row_(config.burst_bytes > 0 ? config.row_bytes / config.burst_bytes : 0),
+      by_banks_(config.banks_per_channel) {
   GNNIE_REQUIRE(config_.channels > 0 && config_.banks_per_channel > 0, "need channels/banks");
   GNNIE_REQUIRE(config_.burst_bytes > 0 && config_.row_bytes % config_.burst_bytes == 0,
                 "row size must be a multiple of the burst size");
-  by_burst_ = Divisor(config_.burst_bytes);
-  by_channels_ = Divisor(config_.channels);
-  by_row_ = Divisor(config_.row_bytes / config_.burst_bytes);
-  by_banks_ = Divisor(config_.banks_per_channel);
   banks_.resize(static_cast<std::size_t>(config_.channels) * config_.banks_per_channel);
   channel_busy_.assign(config_.channels, 0.0);
   last_channel_burst_.assign(static_cast<std::size_t>(config_.channels) * kStreamSlots,
@@ -100,9 +102,14 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
   const std::size_t stream_offset = region * 2 + (write ? 1 : 0);
   double* busy = channel_busy_.data();
   std::uint64_t* last_of = last_channel_burst_.data() + stream_offset;
+  auto next_row = [&] {
+    in_row = 0;
+    ++row;
+    if (++bank == banks) bank = 0;
+  };
   // `n` bursts from the current one on, all row hits: the same additions,
-  // in the same order on each channel, as the general step below — whole
-  // rounds of channels as one loop the compiler can vectorize.
+  // in the same order on each channel, as the general step below, with
+  // whole rounds of channels batched through add_rounds.
   auto row_hits = [&](std::uint64_t n) {
     stats_.row_hits += n;
     const double service = burst_cycles_;
@@ -136,11 +143,7 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
       row_hits(run);
       left -= run;
       in_row += static_cast<std::uint32_t>(channel_burst - from);
-      if (in_row == bursts_per_row) {
-        in_row = 0;
-        ++row;
-        if (++bank == banks) bank = 0;
-      }
+      if (in_row == bursts_per_row) next_row();
       continue;
     }
     Bank& state = banks_[static_cast<std::size_t>(channel) * banks + bank];
@@ -163,11 +166,7 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
     if (++channel == channels) {
       channel = 0;
       ++channel_burst;
-      if (++in_row == bursts_per_row) {
-        in_row = 0;
-        ++row;
-        if (++bank == banks) bank = 0;
-      }
+      if (++in_row == bursts_per_row) next_row();
     }
   }
 }

@@ -101,7 +101,6 @@ class HbmModel {
   struct Divisor {
     std::uint64_t d = 1;
     int shift = -1;  ///< log2(d) when d is a power of two, else -1
-    Divisor() = default;
     explicit Divisor(std::uint64_t divisor);
     std::uint64_t div(std::uint64_t x) const { return shift >= 0 ? x >> shift : x / d; }
     std::uint64_t mod(std::uint64_t x) const { return shift >= 0 ? x & (d - 1) : x % d; }
