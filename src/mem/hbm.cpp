@@ -1,35 +1,11 @@
 #include "mem/hbm.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/require.hpp"
 
 namespace gnnie {
-namespace {
-
-/// `rounds` times, adds `service` to each of busy[0, channels): each
-/// channel's sum in order, eight channels at a time in registers so the
-/// per-channel add chains overlap.
-void add_rounds(double* busy, std::uint32_t channels, std::uint64_t rounds, double service) {
-  std::uint32_t c = 0;
-  for (; c + 8 <= channels; c += 8) {
-    double a[8];
-    for (int k = 0; k < 8; ++k) a[k] = busy[c + k];
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      for (double& x : a) x += service;
-    }
-    for (int k = 0; k < 8; ++k) busy[c + k] = a[k];
-  }
-  for (; c < channels; ++c) {
-    double x = busy[c];
-    for (std::uint64_t r = 0; r < rounds; ++r) x += service;
-    busy[c] = x;
-  }
-}
-
-}  // namespace
 
 double HbmConfig::burst_cycles() const {
   const double bytes_per_cycle_per_channel =
@@ -37,19 +13,9 @@ double HbmConfig::burst_cycles() const {
   return static_cast<double>(burst_bytes) / bytes_per_cycle_per_channel;
 }
 
-HbmModel::Divisor::Divisor(std::uint64_t divisor) : d(divisor) {
-  if (std::has_single_bit(divisor)) shift = std::countr_zero(divisor);
-}
-
-HbmModel::HbmModel(HbmConfig config)
-    : config_(config),
-      burst_cycles_(config.burst_cycles()),
-      by_burst_(config.burst_bytes),
-      by_channels_(config.channels),
-      by_row_(config.burst_bytes > 0 ? config.row_bytes / config.burst_bytes : 0),
-      by_banks_(config.banks_per_channel) {
+HbmModel::HbmModel(HbmConfig config) : config_(config), burst_cycles_(config.burst_cycles()) {
   GNNIE_REQUIRE(config_.channels > 0 && config_.banks_per_channel > 0, "need channels/banks");
-  GNNIE_REQUIRE(config_.burst_bytes > 0 && config_.row_bytes % config_.burst_bytes == 0,
+  GNNIE_REQUIRE(config_.row_bytes % config_.burst_bytes == 0,
                 "row size must be a multiple of the burst size");
   banks_.resize(static_cast<std::size_t>(config_.channels) * config_.banks_per_channel);
   channel_busy_.assign(config_.channels, 0.0);
@@ -73,8 +39,8 @@ void HbmModel::begin_epoch() { std::fill(channel_busy_.begin(), channel_busy_.en
 void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient client) {
   if (bytes == 0) return;
   ++stats_.accesses;
-  const std::uint64_t first_burst = by_burst_.div(addr);
-  const std::uint64_t last_burst = by_burst_.div(addr + bytes - 1);
+  const std::uint64_t first_burst = addr / config_.burst_bytes;
+  const std::uint64_t last_burst = (addr + bytes - 1) / config_.burst_bytes;
   const std::uint64_t burst_count = last_burst - first_burst + 1;
   const Bytes moved = burst_count * config_.burst_bytes;
 
@@ -90,64 +56,19 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
   // row % banks_per_channel.
   const std::uint32_t channels = config_.channels;
   const std::uint32_t banks = config_.banks_per_channel;
-  const auto bursts_per_row = static_cast<std::uint32_t>(by_row_.d);
-  auto channel = static_cast<std::uint32_t>(by_channels_.mod(first_burst));
-  std::uint64_t channel_burst = by_channels_.div(first_burst);
-  std::uint64_t row = by_row_.div(channel_burst);
-  auto in_row = static_cast<std::uint32_t>(by_row_.mod(channel_burst));
-  auto bank = static_cast<std::uint32_t>(by_banks_.mod(row));
+  const std::uint32_t bursts_per_row = config_.row_bytes / config_.burst_bytes;
+  auto channel = static_cast<std::uint32_t>(first_burst % channels);
+  std::uint64_t channel_burst = first_burst / channels;
+  std::uint64_t row = channel_burst / bursts_per_row;
+  auto in_row = static_cast<std::uint32_t>(channel_burst % bursts_per_row);
+  auto bank = static_cast<std::uint32_t>(row % banks);
   // Reads and writes occupy separate scheduler queues (write buffering),
   // so they form separate streams as well.
   const std::size_t region = std::min<std::uint64_t>(addr >> 36, kStreamSlots / 2 - 1);
   const std::size_t stream_offset = region * 2 + (write ? 1 : 0);
-  double* busy = channel_busy_.data();
-  std::uint64_t* last_of = last_channel_burst_.data() + stream_offset;
-  auto next_row = [&] {
-    in_row = 0;
-    ++row;
-    if (++bank == banks) bank = 0;
-  };
-  // `n` bursts from the current one on, all row hits: the same additions,
-  // in the same order on each channel, as the general step below, with
-  // whole rounds of channels batched through add_rounds.
-  auto row_hits = [&](std::uint64_t n) {
-    stats_.row_hits += n;
-    const double service = burst_cycles_;
-    while (n > 0) {
-      if (channel == 0 && n >= channels) {
-        const std::uint64_t rounds = n / channels;
-        add_rounds(busy, channels, rounds, service);
-        channel_burst += rounds;
-        for (std::uint32_t c = 0; c < channels; ++c) last_of[c * kStreamSlots] = channel_burst - 1;
-        n -= rounds * channels;
-        continue;
-      }
-      busy[channel] += service;
-      last_of[channel * kStreamSlots] = channel_burst;
-      if (++channel == channels) {
-        channel = 0;
-        ++channel_burst;
-      }
-      --n;
-    }
-  };
-  std::uint64_t left = burst_count;
-  while (left > 0) {
-    if (in_row != 0 && burst_count - left >= channels) {
-      // Every channel has had a burst of this access, one burst back in
-      // this row, so the row is open on each: every burst up to the next
-      // row start hits.
-      const std::uint64_t run = std::min<std::uint64_t>(
-          left, static_cast<std::uint64_t>(bursts_per_row - in_row) * channels - channel);
-      const std::uint64_t from = channel_burst;
-      row_hits(run);
-      left -= run;
-      in_row += static_cast<std::uint32_t>(channel_burst - from);
-      if (in_row == bursts_per_row) next_row();
-      continue;
-    }
+  for (std::uint64_t left = burst_count; left > 0; --left) {
     Bank& state = banks_[static_cast<std::size_t>(channel) * banks + bank];
-    std::uint64_t& last = last_of[channel * kStreamSlots];
+    std::uint64_t& last = last_channel_burst_[channel * kStreamSlots + stream_offset];
     const bool streaming = channel_burst == last + 1;
     last = channel_burst;
     double service = burst_cycles_;
@@ -160,13 +81,16 @@ void HbmModel::access(std::uint64_t addr, Bytes bytes, bool write, MemClient cli
       // the current one transfers; a jump pays the full activate+precharge.
       service += streaming ? config_.streaming_miss_penalty : config_.row_miss_penalty;
     }
-    busy[channel] += service;
-    --left;
+    channel_busy_[channel] += service;
 
     if (++channel == channels) {
       channel = 0;
       ++channel_burst;
-      if (++in_row == bursts_per_row) next_row();
+      if (++in_row == bursts_per_row) {
+        in_row = 0;
+        ++row;
+        if (++bank == banks) bank = 0;
+      }
     }
   }
 }

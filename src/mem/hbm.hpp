@@ -96,19 +96,8 @@ class HbmModel {
     std::uint64_t open_row = ~0ull;
   };
 
-  /// x / d and x % d, by shift and mask when d is a power of two (the
-  /// paper's geometry) — an access's address split needs five of them.
-  struct Divisor {
-    std::uint64_t d = 1;
-    int shift = -1;  ///< log2(d) when d is a power of two, else -1
-    explicit Divisor(std::uint64_t divisor);
-    std::uint64_t div(std::uint64_t x) const { return shift >= 0 ? x >> shift : x / d; }
-    std::uint64_t mod(std::uint64_t x) const { return shift >= 0 ? x & (d - 1) : x % d; }
-  };
-
   HbmConfig config_;
   double burst_cycles_;               // config_.burst_cycles(), fixed per model
-  Divisor by_burst_, by_channels_, by_row_, by_banks_;
   std::vector<Bank> banks_;           // channels × banks_per_channel
   std::vector<double> channel_busy_;  // cycles within current epoch
   /// Streaming detection per (channel, address region): the memory-access
