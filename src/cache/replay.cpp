@@ -39,28 +39,17 @@ bool BeladyBuffer::access(VertexId v) {
   GNNIE_ASSERT(v < due_.size() && due_[v] == i, "access does not follow the trace");
   const std::uint64_t next = next_use_[i];
   due_[v] = next;
-  if (in_cache_[v] == 0 && cached_ >= capacity_) {
-    // Stale keys are ≤ i < every live key, so the top is live. Evict it by
-    // sifting v's entry down from the root in its place: the same entries
-    // as a pop and a push, in one pass.
-    in_cache_[heap_.front().second] = 0;
-    in_cache_[v] = 1;
-    const std::pair<std::uint64_t, VertexId> entry(next, v);
-    const std::size_t size = heap_.size();
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
-      if (child + 1 < size && heap_[child] < heap_[child + 1]) ++child;
-      if (!(entry < heap_[child])) break;
-      heap_[hole] = heap_[child];
-      hole = child;
-    }
-    heap_[hole] = entry;
-    return false;
-  }
   const bool hit = in_cache_[v] != 0;
   if (!hit) {
+    if (cached_ >= capacity_) {
+      // Stale keys are ≤ i < every live key, so the top is live.
+      std::pop_heap(heap_.begin(), heap_.end());
+      in_cache_[heap_.back().second] = 0;
+      heap_.pop_back();
+    } else {
+      ++cached_;
+    }
     in_cache_[v] = 1;
-    ++cached_;
   }
   // A hit leaves the old entry (key i) behind as a stale entry.
   heap_.emplace_back(next, v);

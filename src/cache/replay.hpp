@@ -60,10 +60,9 @@ struct ReplayResult {
 /// i the vertex's key is i and every other cached key is greater, so the
 /// hit entry is the set's minimum. It stays in the heap as a stale entry
 /// with key ≤ i, below every live key, so the top is live whenever an
-/// eviction runs; the evicting miss puts its own entry at the root in the
-/// top's place and sifts it down. Stale entries are dropped once the heap
-/// passes 2·capacity + 64 entries, which keeps it O(capacity) at O(1)
-/// amortized cost per access.
+/// eviction pops it. Stale entries are dropped once the heap passes
+/// 2·capacity + 64 entries, which keeps it O(capacity) at O(1) amortized
+/// cost per access.
 class BeladyBuffer {
  public:
   BeladyBuffer(const AccessTrace& trace, std::uint64_t capacity);

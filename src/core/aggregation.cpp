@@ -1049,9 +1049,7 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     ensure_cached(v, /*random=*/false);  // ID-order walk is sequential
     auto nb = g.neighbors(v);
     std::uint32_t deg_here = 0;
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const VertexId w = nb[i];
-      if (i + 1 < nb.size()) prefetch_row(task.hw->row(nb[i + 1]));
+    for (VertexId w : nb) {
       // Only a miss is charged, and a neighbor's miss is a random read.
       ensure_cached(w, /*random=*/true);
       state.contribute(task, v, w);
