@@ -44,26 +44,6 @@ DualSplit best_dual_split(const AccessTrace& trace, std::uint64_t capacity, cons
   return best;
 }
 
-ReplayResult replay_policy(const AccessTrace& trace, std::uint64_t capacity,
-                           const CachePolicy& policy, const Csr& g) {
-  switch (policy.kind()) {
-    case CachePolicyKind::kBeladyOracle:
-      return replay_belady(trace, capacity);
-    case CachePolicyKind::kOnDemand:
-      return replay_lru(trace, capacity);
-    case CachePolicyKind::kDualCache:
-      return best_dual_split(trace, capacity, g).result;
-    case CachePolicyKind::kDegreeAware:
-    case CachePolicyKind::kIdOrder:
-    case CachePolicyKind::kSetAware: {
-      const std::vector<VertexId> order = policy.layout_order(g);
-      return replay_pinned_lru(trace, capacity, order_prefix(order, capacity));
-    }
-  }
-  GNNIE_REQUIRE(false, "unhandled cache policy kind");
-  return {};  // unreachable
-}
-
 WorkloadCacheAnalysis analyze_workload(const Csr& g, std::uint64_t capacity) {
   WorkloadCacheAnalysis a;
   a.capacity = capacity;
@@ -73,14 +53,26 @@ WorkloadCacheAnalysis analyze_workload(const Csr& g, std::uint64_t capacity) {
   for (CachePolicyKind kind : all_cache_policy_kinds()) {
     WorkloadCacheAnalysis::PolicyEntry entry;
     entry.kind = kind;
-    if (kind == CachePolicyKind::kBeladyOracle) {
-      entry.replay = a.oracle;  // the oracle's row is the oracle replay itself
-    } else if (kind == CachePolicyKind::kDualCache) {
-      const DualSplit split = best_dual_split(trace, capacity, g);
-      entry.replay = split.result;
-      a.dual_pinned = split.pinned;
-    } else {
-      entry.replay = replay_policy(trace, capacity, *CachePolicy::make(kind), g);
+    switch (kind) {
+      case CachePolicyKind::kBeladyOracle:
+        entry.replay = a.oracle;  // the oracle's row is the oracle replay itself
+        break;
+      case CachePolicyKind::kOnDemand:
+        entry.replay = replay_lru(trace, capacity);
+        break;
+      case CachePolicyKind::kDualCache: {
+        const DualSplit split = best_dual_split(trace, capacity, g);
+        entry.replay = split.result;
+        a.dual_pinned = split.pinned;
+        break;
+      }
+      case CachePolicyKind::kDegreeAware:
+      case CachePolicyKind::kIdOrder:
+      case CachePolicyKind::kSetAware: {
+        const std::vector<VertexId> order = CachePolicy::make(kind)->layout_order(g);
+        entry.replay = replay_pinned_lru(trace, capacity, order_prefix(order, capacity));
+        break;
+      }
     }
     entry.fraction_of_oracle = a.oracle.hit_rate() > 0.0
                                    ? entry.replay.hit_rate() / a.oracle.hit_rate()

@@ -42,12 +42,9 @@ struct DualSplit {
 /// prefers flexibility).
 DualSplit best_dual_split(const AccessTrace& trace, std::uint64_t capacity, const Csr& g);
 
-/// Replays `policy`'s discipline (header table above) over the trace.
-ReplayResult replay_policy(const AccessTrace& trace, std::uint64_t capacity,
-                           const CachePolicy& policy, const Csr& g);
-
 /// One workload's full analysis: the oracle plus every policy kind's
-/// replayed hit rate, ready for reporting against the oracle denominator.
+/// replayed hit rate (its discipline per the header table above), ready
+/// for reporting against the oracle denominator.
 struct WorkloadCacheAnalysis {
   std::uint64_t capacity = 0;
   std::uint64_t trace_accesses = 0;
