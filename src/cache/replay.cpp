@@ -10,7 +10,7 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-/// Per-vertex buffer state of the pinned-LRU replay.
+/// Per-vertex state of PinnedLruBuffer.
 enum : std::uint8_t { kAbsent = 0, kCached = 1, kPinned = 2 };
 
 }  // namespace
@@ -62,6 +62,55 @@ bool BeladyBuffer::access(VertexId v) {
   return hit;
 }
 
+PinnedLruBuffer::PinnedLruBuffer(VertexId vertex_count, std::uint64_t capacity,
+                                 std::span<const VertexId> pinned)
+    : sentinel_(vertex_count),
+      state_(vertex_count, kAbsent),
+      prev_(static_cast<std::size_t>(vertex_count) + 1, vertex_count),
+      next_(static_cast<std::size_t>(vertex_count) + 1, vertex_count) {
+  GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
+  GNNIE_REQUIRE(pinned.size() <= capacity, "pinned region exceeds the capacity");
+  fill_capacity_ = capacity - pinned.size();
+  for (VertexId v : pinned) {
+    GNNIE_REQUIRE(v < vertex_count, "pinned vertex out of range");
+    GNNIE_REQUIRE(state_[v] != kPinned, "pinned vertices must be distinct");
+    state_[v] = kPinned;
+  }
+}
+
+void PinnedLruBuffer::unlink(VertexId v) {
+  next_[prev_[v]] = next_[v];
+  prev_[next_[v]] = prev_[v];
+}
+
+void PinnedLruBuffer::push_front(VertexId v) {
+  next_[v] = next_[sentinel_];
+  prev_[v] = sentinel_;
+  prev_[next_[sentinel_]] = v;
+  next_[sentinel_] = v;
+}
+
+bool PinnedLruBuffer::access(VertexId v) {
+  const std::uint8_t s = state_[v];
+  if (s == kPinned) return true;  // resident for the whole run
+  if (s == kCached) {
+    unlink(v);
+    push_front(v);
+    return true;
+  }
+  if (fill_capacity_ == 0) return false;  // no fill region: nothing retained
+  if (cached_ >= fill_capacity_) {
+    const VertexId victim = prev_[sentinel_];  // tail = least recently used
+    unlink(victim);
+    state_[victim] = kAbsent;
+    --cached_;
+  }
+  state_[v] = kCached;
+  push_front(v);
+  ++cached_;
+  return false;
+}
+
 ReplayResult replay_lru(const AccessTrace& trace, std::uint64_t capacity) {
   return replay_pinned_lru(trace, capacity, {});
 }
@@ -76,58 +125,11 @@ ReplayResult replay_belady(const AccessTrace& trace, std::uint64_t capacity) {
 
 ReplayResult replay_pinned_lru(const AccessTrace& trace, std::uint64_t capacity,
                                std::span<const VertexId> pinned) {
-  GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
-  GNNIE_REQUIRE(pinned.size() <= capacity, "pinned region exceeds the capacity");
+  PinnedLruBuffer buffer(trace.vertex_count, capacity, pinned);
   ReplayResult r;
   r.accesses = trace.accesses.size();
-  const VertexId v_count = trace.vertex_count;
-  std::vector<std::uint8_t> state(v_count, kAbsent);
-  for (VertexId v : pinned) {
-    GNNIE_REQUIRE(v < v_count, "pinned vertex out of range");
-    GNNIE_REQUIRE(state[v] != kPinned, "pinned vertices must be distinct");
-    state[v] = kPinned;
-    ++r.fetches;  // the preload is a real DRAM fetch
-  }
-  const std::uint64_t lru_capacity = capacity - pinned.size();
-  if (lru_capacity == 0) {
-    // Nothing can be retained: every unpinned access fetches.
-    for (VertexId v : trace.accesses) r.fetches += state[v] == kPinned ? 0 : 1;
-    return r;
-  }
-  // Intrusive LRU list over vertex ids, v_count as the sentinel (the same
-  // structure the on-demand engine uses, so the two cannot drift).
-  std::vector<VertexId> prev(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::vector<VertexId> next(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::uint64_t cached = 0;
-  auto unlink = [&](VertexId v) {
-    next[prev[v]] = next[v];
-    prev[next[v]] = prev[v];
-  };
-  auto push_front = [&](VertexId v) {
-    next[v] = next[v_count];
-    prev[v] = v_count;
-    prev[next[v_count]] = v;
-    next[v_count] = v;
-  };
-  for (VertexId v : trace.accesses) {
-    const std::uint8_t s = state[v];
-    if (s == kPinned) continue;  // resident for the whole run
-    if (s == kCached) {
-      unlink(v);
-      push_front(v);
-      continue;
-    }
-    ++r.fetches;
-    if (cached >= lru_capacity) {
-      const VertexId victim = prev[v_count];
-      unlink(victim);
-      state[victim] = kAbsent;
-      --cached;
-    }
-    state[v] = kCached;
-    push_front(v);
-    ++cached;
-  }
+  r.fetches = pinned.size();  // each preload is a real DRAM fetch
+  for (VertexId v : trace.accesses) r.fetches += buffer.access(v) ? 0 : 1;
   return r;
 }
 

@@ -14,16 +14,16 @@
 //
 //   * replay_lru        — the on-demand engine's discipline (HyGCN-style).
 //   * replay_belady     — offline-optimal (Ginex): evict the cached vertex
-//                         whose next use is farthest in the future. The
-//                         buffer itself is BeladyBuffer, which the engine's
-//                         belady-oracle policy runs too, so the two cannot
-//                         drift.
+//                         whose next use is farthest in the future.
 //   * replay_pinned_lru — DCI-style dual cache: a preloaded, never-evicted
 //                         hub region plus an LRU fill region over the rest
 //                         of the capacity. With |pinned| == capacity this
 //                         degenerates to a static cache (the trace-domain
 //                         model of the subgraph-machinery layouts: the
 //                         buffer holds the layout's hot prefix).
+//
+// Their buffers, BeladyBuffer and PinnedLruBuffer, are the on-demand engine's
+// input buffers too, so engine misses equal replay fetches by construction.
 #pragma once
 
 #include <cstdint>
@@ -85,15 +85,42 @@ class BeladyBuffer {
   std::vector<std::pair<std::uint64_t, VertexId>> heap_;  ///< (next use, vertex)
 };
 
+/// Pinned-LRU input buffer: plain LRU with nothing pinned, the DCI-style
+/// dual cache with hubs pinned. `pinned` vertices stay resident and are
+/// never evicted; the remaining capacity − |pinned| slots run LRU over an
+/// intrusive recency list with `vertex_count` as its sentinel. With a
+/// zero-slot fill region every unpinned access misses and nothing is
+/// retained.
+class PinnedLruBuffer {
+ public:
+  /// Requires capacity > 0, |pinned| ≤ capacity, and distinct pins in
+  /// [0, vertex_count).
+  PinnedLruBuffer(VertexId vertex_count, std::uint64_t capacity,
+                  std::span<const VertexId> pinned);
+
+  /// Serves an access to `v`. Returns true on a hit; a miss loads `v`
+  /// into the fill region (evicting its least recently used vertex).
+  bool access(VertexId v);
+
+ private:
+  void unlink(VertexId v);
+  void push_front(VertexId v);
+
+  VertexId sentinel_;                ///< == vertex_count
+  std::uint64_t fill_capacity_ = 0;  ///< capacity − |pinned|
+  std::uint64_t cached_ = 0;         ///< vertices in the fill region
+  std::vector<std::uint8_t> state_;  ///< per vertex
+  std::vector<VertexId> prev_;       ///< recency list, front = most recent
+  std::vector<VertexId> next_;
+};
+
 /// Plain LRU over the whole capacity: replay_pinned_lru with nothing pinned.
 ReplayResult replay_lru(const AccessTrace& trace, std::uint64_t capacity);
 
 ReplayResult replay_belady(const AccessTrace& trace, std::uint64_t capacity);
 
-/// `pinned` vertices (must be distinct, |pinned| ≤ capacity) are preloaded
-/// — each charged one fetch — and never evicted; the remaining
-/// capacity − |pinned| slots run LRU. A zero-slot LRU region means every
-/// unpinned access fetches and nothing is retained.
+/// Serves the trace through a PinnedLruBuffer: fetches = |pinned| (each
+/// preload is charged one fetch) + misses.
 ReplayResult replay_pinned_lru(const AccessTrace& trace, std::uint64_t capacity,
                                std::span<const VertexId> pinned);
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <utility>
+#include <variant>
 
 #include "cache/access_trace.hpp"
 #include "cache/alloc.hpp"
@@ -123,6 +123,37 @@ struct FunctionalState {
 /// `macs` lanes.
 std::uint64_t accum_cycles(std::size_t f, std::uint32_t macs) {
   return div_ceil(f, macs);
+}
+
+/// Compute cycles of one accounting window (subgraph iteration, on-demand
+/// window, livelock sweep). Null `cpe_load` is load-balanced: the F-wide
+/// accumulations spread across every MAC, plus ⌈log₂(k+1)⌉ adder-tree levels
+/// re-combining the partials of the vertex with the most (k > 1) of them.
+/// Otherwise the most loaded CPE sets the time. The SFU pass bounds both.
+Cycles window_compute_cycles(const EngineConfig& config, std::size_t f, std::uint64_t accums,
+                             std::uint32_t max_vertex_accums, std::uint64_t sfu,
+                             const std::vector<std::uint64_t>* cpe_load) {
+  Cycles compute = 0;
+  if (cpe_load == nullptr) {
+    compute = div_ceil(accums * f, config.array.total_macs());
+    if (max_vertex_accums > 1) {
+      compute += static_cast<Cycles>(
+          std::ceil(std::log2(static_cast<double>(max_vertex_accums) + 1.0)));
+    }
+  } else {
+    compute = *std::max_element(cpe_load->begin(), cpe_load->end());
+  }
+  if (sfu > 0) {
+    compute = std::max(compute, div_ceil(sfu, config.sfu_lanes) + config.sfu.exp_latency);
+  }
+  return compute;
+}
+
+/// Books one window: compute and memory overlap, so the slower one counts.
+void charge_window(AggregationReport& rep, Cycles compute, Cycles memory) {
+  rep.compute_cycles += compute;
+  rep.memory_cycles += memory;
+  rep.total_cycles += std::max(compute, memory);
 }
 
 /// mirror[e] = index of edge e's reverse entry (u→w ↦ w→u) in an
@@ -355,7 +386,6 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   };
 
   const std::uint32_t total_cpes = config_.array.total_cpes();
-  const std::uint32_t total_macs = config_.array.total_macs();
   auto cpe_macs = [&](std::uint32_t cpe) {
     return config_.array.macs_in_row(cpe / config_.array.cols);
   };
@@ -525,11 +555,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     if (v == v_count) break;
     fetch_vertex(v);
   }
-  if (hbm_ != nullptr) {
-    const Cycles fill = hbm_->epoch_cycles();
-    rep.memory_cycles += fill;
-    rep.total_cycles += fill;
-  }
+  charge_window(rep, 0, hbm_ != nullptr ? hbm_->epoch_cycles() : 0);
   record_round_histogram();  // initial distribution (power-law snapshot)
 
   // Generous convergence guard: deadlock-relief pulses can double the
@@ -561,7 +587,6 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     std::uint64_t it_accums = 0;
     std::uint64_t it_sfu = 0;
     std::uint32_t it_max_vertex_accums = 0;
-    std::uint64_t it_completions = 0;
 
     auto touch = [&](VertexId v) {
       if (accum_stamp[v] != stamp) {
@@ -581,7 +606,6 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       }
     };
     auto complete_vertex = [&](VertexId v) {
-      ++it_completions;
       if (task.kind == AggKind::kGatSoftmax) it_sfu += f;  // softmax divide
       // Final result written back to DRAM.
       if (hbm_ != nullptr) hbm_->access(out_addr(v), partial_bytes, true, MemClient::kOutput);
@@ -670,33 +694,13 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     if (edges_this_iteration > 0 && gamma != base_gamma) gamma = base_gamma;
 
     // --- Iteration cycle accounting. ---
-    std::uint64_t compute_it = 0;
-    if (lb) {
-      // Unit pairwise summations spread across every MAC; the adder tree
-      // re-combining a vertex's partials adds ⌈log₂(deg_it+1)⌉ levels.
-      const std::uint64_t element_ops = it_accums * f;
-      compute_it = div_ceil(element_ops, total_macs);
-      if (it_max_vertex_accums > 1) {
-        compute_it += static_cast<std::uint64_t>(
-            std::ceil(std::log2(static_cast<double>(it_max_vertex_accums) + 1.0)));
-      }
-    } else {
-      compute_it = *std::max_element(cpe_load.begin(), cpe_load.end());
-    }
-    if (it_sfu > 0) {
-      const std::uint64_t sfu_cycles =
-          div_ceil(it_sfu, config_.sfu_lanes) + config_.sfu.exp_latency;
-      compute_it = std::max(compute_it, sfu_cycles);
-    }
+    const Cycles compute_it = window_compute_cycles(config_, f, it_accums, it_max_vertex_accums,
+                                                    it_sfu, lb ? nullptr : &cpe_load);
     rep.accum_ops += it_accums;
     rep.sfu_ops += it_sfu;
-    (void)it_completions;
 
     if (remaining_edge_work == 0 || livelocked) {
-      const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-      rep.compute_cycles += compute_it;
-      rep.memory_cycles += mem_it;
-      rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
+      charge_window(rep, compute_it, hbm_ != nullptr ? hbm_->epoch_cycles() : 0);
       break;
     }
 
@@ -711,11 +715,6 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     }
     if (candidates.empty() && edges_this_iteration == 0) {
       // Deadlock (§VI): no evictable vertex and no progress.
-      if (!config_.cache.dynamic_gamma) {
-        throw std::runtime_error(
-            "aggregation deadlock: no vertex with alpha < gamma and no progress "
-            "(enable cache.dynamic_gamma or raise gamma)");
-      }
       ++rep.gamma_escalations;
       // Jump straight to the smallest γ that admits a full replacement
       // batch (the r-th smallest α among cached vertices) so one relief
@@ -732,10 +731,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
         gamma = std::max<std::uint32_t>(gamma + 1, gamma * 2);
       }
       rep.final_gamma = std::max(rep.final_gamma, gamma);
-      const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-      rep.compute_cycles += compute_it;
-      rep.memory_cycles += mem_it;
-      rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
+      charge_window(rep, compute_it, hbm_ != nullptr ? hbm_->epoch_cycles() : 0);
       continue;
     }
     // Only the first r_max leave. The order is a strict total order, so
@@ -763,10 +759,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       fetch_vertex(v);
     }
 
-    const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-    rep.compute_cycles += compute_it;
-    rep.memory_cycles += mem_it;
-    rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
+    charge_window(rep, compute_it, hbm_ != nullptr ? hbm_->epoch_cycles() : 0);
   }
 
   if (remaining_edge_work > 0) {
@@ -839,15 +832,8 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     }
     rep.accum_ops += sweep_accums;
     rep.sfu_ops += sweep_sfu;
-    Cycles sweep_compute = div_ceil(sweep_accums * f, total_macs);
-    if (sweep_sfu > 0) {
-      sweep_compute = std::max<Cycles>(
-          sweep_compute, div_ceil(sweep_sfu, config_.sfu_lanes) + config_.sfu.exp_latency);
-    }
-    const Cycles sweep_mem = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-    rep.compute_cycles += sweep_compute;
-    rep.memory_cycles += sweep_mem;
-    rep.total_cycles += std::max(sweep_compute, sweep_mem);
+    charge_window(rep, window_compute_cycles(config_, f, sweep_accums, 0, sweep_sfu, nullptr),
+                  hbm_ != nullptr ? hbm_->epoch_cycles() : 0);
     ++rep.iterations;
   }
 
@@ -874,7 +860,6 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
   };
 
   const std::uint64_t n = rep.cache_capacity_vertices;
-  const ReplacementKind discipline = policy.replacement();
 
   // DRAM cost of loading one vertex's working set (properties + adjacency
   // slice) into the input buffer — shared by every replacement discipline
@@ -892,34 +877,16 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     if (random) ++rep.random_dram_accesses;
   };
 
-  // LRU-managed input buffer: intrusive doubly-linked list over vertex ids
-  // (v_count acts as the head/tail sentinel). LRU keeps hot hub vertices
-  // resident — the fairest non-graph-specific policy to compare CP against.
-  // The dual-cache discipline runs the same list over its fill region.
-  std::vector<bool> in_cache(v_count, false);
-  std::vector<VertexId> lru_prev(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::vector<VertexId> lru_next(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::uint64_t cached_count = 0;
-
-  auto lru_unlink = [&](VertexId v) {
-    lru_next[lru_prev[v]] = lru_next[v];
-    lru_prev[lru_next[v]] = lru_prev[v];
-  };
-  auto lru_push_front = [&](VertexId v) {
-    lru_next[v] = lru_next[v_count];
-    lru_prev[v] = v_count;
-    lru_prev[lru_next[v_count]] = v;
-    lru_next[v_count] = v;
-  };
-
-  // Dual-cache (kDualPinnedLru): the top-p hubs of the exact degree order
-  // (the same order best_dual_split searches over) are preloaded and never
-  // evicted; the remaining n − p slots run LRU. p comes from the plan
-  // artifact when bound, else from the split search here.
-  std::vector<bool> is_pinned;
-  std::uint64_t lru_capacity = n;
-  std::vector<VertexId> pinned_preload;
-  if (discipline == ReplacementKind::kDualPinnedLru) {
+  // The input buffer is the one the policy's trace replay runs
+  // (cache/replay.hpp), so engine misses equal replay fetches. On-demand is
+  // plain LRU (the fairest non-graph-specific policy to compare CP
+  // against). Dual-cache pins the top-p hubs of the exact degree order (the
+  // order best_dual_split searches over) and runs LRU over the other n − p
+  // slots; p comes from the plan artifact when bound, else from the split
+  // search here. Belady serves the loop's deterministic access sequence,
+  // which equals AccessTrace::from_graph.
+  std::vector<VertexId> pinned;
+  if (policy.kind() == CachePolicyKind::kDualCache) {
     std::uint64_t p = task.dual_pinned_hint;
     if (p == kNoDualPinnedHint) {
       p = cache::best_dual_split(cache::AccessTrace::from_graph(g), n, g).pinned;
@@ -927,76 +894,25 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     const std::vector<VertexId> hubs = exact_degree_order(g);
     p = std::min<std::uint64_t>({p, n, hubs.size()});
     rep.dual_pinned_vertices = p;
-    lru_capacity = n - p;
-    is_pinned.assign(v_count, false);
-    pinned_preload.assign(hubs.begin(), hubs.begin() + static_cast<std::size_t>(p));
-    for (VertexId v : pinned_preload) is_pinned[v] = true;
+    pinned.assign(hubs.begin(), hubs.begin() + static_cast<std::size_t>(p));
   }
-
-  // Belady oracle (kBelady): the access sequence of the loop below is
-  // deterministic and equals AccessTrace::from_graph, so the trace replay's
-  // own buffer serves it with perfect future knowledge. The buffer checks
-  // every access against the trace, so the two cannot drift.
-  std::optional<cache::BeladyBuffer> belady;
-  if (discipline == ReplacementKind::kBelady) belady.emplace(cache::AccessTrace::from_graph(g), n);
+  using Buffer = std::variant<cache::PinnedLruBuffer, cache::BeladyBuffer>;
+  Buffer buffer = policy.kind() == CachePolicyKind::kBeladyOracle
+                      ? Buffer(std::in_place_type<cache::BeladyBuffer>,
+                               cache::AccessTrace::from_graph(g), n)
+                      : Buffer(std::in_place_type<cache::PinnedLruBuffer>, v_count, n, pinned);
 
   auto ensure_cached = [&](VertexId v, bool random) {
     ++rep.buffer_accesses;
     if (task.access_log != nullptr) task.access_log->push_back(v);
-    switch (discipline) {
-      case ReplacementKind::kLru:
-        if (in_cache[v]) {
-          ++rep.buffer_hits;
-          lru_unlink(v);
-          lru_push_front(v);
-          return;
-        }
-        if (cached_count >= n) {
-          const VertexId victim = lru_prev[v_count];  // tail = least recently used
-          lru_unlink(victim);
-          in_cache[victim] = false;
-          --cached_count;
-        }
-        in_cache[v] = true;
-        lru_push_front(v);
-        ++cached_count;
-        charge_fetch(v, random);
-        return;
-      case ReplacementKind::kDualPinnedLru:
-        if (is_pinned[v]) {
-          ++rep.buffer_hits;  // hub region: resident for the whole run
-          return;
-        }
-        if (in_cache[v]) {
-          ++rep.buffer_hits;
-          lru_unlink(v);
-          lru_push_front(v);
-          return;
-        }
-        charge_fetch(v, random);
-        if (lru_capacity == 0) return;  // no fill region: nothing retained
-        if (cached_count >= lru_capacity) {
-          const VertexId victim = lru_prev[v_count];
-          lru_unlink(victim);
-          in_cache[victim] = false;
-          --cached_count;
-        }
-        in_cache[v] = true;
-        lru_push_front(v);
-        ++cached_count;
-        return;
-      case ReplacementKind::kBelady:
-        if (belady->access(v)) {
-          ++rep.buffer_hits;
-          return;
-        }
-        charge_fetch(v, random);
-        return;
+    if (std::visit([v](auto& b) { return b.access(v); }, buffer)) {
+      ++rep.buffer_hits;
+    } else {
+      charge_fetch(v, random);
     }
   };
 
   const std::uint32_t total_cpes = config_.array.total_cpes();
-  const std::uint32_t total_macs = config_.array.total_macs();
   auto cpe_macs = [&](std::uint32_t cpe) {
     return config_.array.macs_in_row(cpe / config_.array.cols);
   };
@@ -1015,28 +931,16 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
   // Dual-cache hub preload: one sequential sweep over the degree-order
   // prefix, charged to the first accounting window. Preloads are fills,
   // not lookups — they do not count as buffer accesses.
-  for (VertexId v : pinned_preload) charge_fetch(v, /*random=*/false);
+  for (VertexId v : pinned) charge_fetch(v, /*random=*/false);
 
   auto flush_window = [&] {
-    std::uint64_t compute_it = 0;
-    if (lb) {
-      compute_it = div_ceil(window_accums * f, total_macs);
-      if (window_max_deg > 1) {
-        compute_it += static_cast<std::uint64_t>(
-            std::ceil(std::log2(static_cast<double>(window_max_deg) + 1.0)));
-      }
-    } else {
-      compute_it = *std::max_element(cpe_load.begin(), cpe_load.end());
-      std::fill(cpe_load.begin(), cpe_load.end(), 0);
-    }
-    if (window_sfu > 0) {
-      compute_it = std::max<std::uint64_t>(
-          compute_it, div_ceil(window_sfu, config_.sfu_lanes) + config_.sfu.exp_latency);
-    }
-    const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-    rep.compute_cycles += compute_it;
-    rep.memory_cycles += mem_it;
-    rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
+    charge_window(rep,
+                  window_compute_cycles(config_, f, window_accums, window_max_deg, window_sfu,
+                                        lb ? nullptr : &cpe_load),
+                  hbm_ != nullptr ? hbm_->epoch_cycles() : 0);
+    if (!lb) std::fill(cpe_load.begin(), cpe_load.end(), 0);
+    rep.accum_ops += window_accums;
+    rep.sfu_ops += window_sfu;
     ++rep.iterations;
     window_accums = 0;
     window_targets = 0;
@@ -1057,17 +961,12 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
       window_sfu += gat_extra;
       ++deg_here;
       ++rep.edges_processed;
-      ++rep.accum_ops;
-      rep.sfu_ops += gat_extra;
       if (!lb) {
         const std::uint32_t home = v % total_cpes;
         cpe_load[home] += accum_cycles(f, cpe_macs(home));
       }
     }
-    if (task.kind == AggKind::kGatSoftmax) {
-      window_sfu += f;  // final divide
-      rep.sfu_ops += f;
-    }
+    if (task.kind == AggKind::kGatSoftmax) window_sfu += f;  // final divide
     window_max_deg = std::max(window_max_deg, deg_here);
     // Result write-back.
     if (hbm_ != nullptr) {

@@ -13,9 +13,13 @@
 // histograms are recorded at Round boundaries). All DRAM fetches walk
 // forward through the layout — sequential by construction.
 //
-// On-demand mode (the kOnDemand policy): vertices are processed in ID order
-// and each vertex pulls its neighbors' ηw on demand; misses in the
-// LRU-managed input buffer become individual random DRAM reads.
+// On-demand mode (the on-demand, dual-cache and belady-oracle policies):
+// vertices are processed in ID order and each vertex pulls its neighbors' ηw
+// on demand; a miss in the input buffer becomes an individual random DRAM
+// read. The input buffer is the src/cache buffer the policy's trace replay
+// runs — PinnedLruBuffer (nothing pinned for on-demand, the hub prefix for
+// dual-cache) or BeladyBuffer — so engine misses equal replay fetches by
+// construction.
 //
 // The policy comes from AggregationTask::policy (the serving path binds it
 // from the GraphPlan); tasks without one run the degree-aware default.
@@ -50,7 +54,7 @@ struct ReverseAdjacency {
 };
 
 /// Sentinel for AggregationTask::dual_pinned_hint: no plan-level precompute,
-/// derive the dual-cache split here (cache::best_dual_split over the trace).
+/// the dual-cache engine searches its split (cache::best_dual_split) per run.
 inline constexpr std::uint64_t kNoDualPinnedHint =
     std::numeric_limits<std::uint64_t>::max();
 
@@ -96,7 +100,7 @@ struct AggregationTask {
   std::uint64_t cache_capacity_hint = 0;
   /// Plan-level precompute of the dual-cache pinned-region size for this
   /// task (GraphPlan::dual_pinned_for_width). kNoDualPinnedHint → searched
-  /// here per run. Only read by the kDualPinnedLru replacement discipline.
+  /// here per run. Only the dual-cache policy reads it.
   std::uint64_t dual_pinned_hint = kNoDualPinnedHint;
   /// When non-null, the engine appends its vertex access sequence here:
   /// on-demand modes log every input-buffer access (the reference string

@@ -128,7 +128,6 @@ class DualCachePolicy final : public CachePolicy {
   CachePolicyKind kind() const override { return CachePolicyKind::kDualCache; }
   const char* name() const override { return "dual-cache"; }
   bool uses_subgraph_machinery() const override { return false; }
-  ReplacementKind replacement() const override { return ReplacementKind::kDualPinnedLru; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     return exact_degree_order(g);
   }
@@ -141,7 +140,6 @@ class BeladyOraclePolicy final : public CachePolicy {
   CachePolicyKind kind() const override { return CachePolicyKind::kBeladyOracle; }
   const char* name() const override { return "belady-oracle"; }
   bool uses_subgraph_machinery() const override { return false; }
-  ReplacementKind replacement() const override { return ReplacementKind::kBelady; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     return identity_order(g);
   }

@@ -51,10 +51,6 @@ const std::vector<CachePolicyKind>& all_cache_policy_kinds();
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<CachePolicyKind> cache_policy_kind_from_string(std::string_view name);
 
-/// Replacement discipline of the on-demand pull engine, for policies
-/// without subgraph machinery (ignored otherwise).
-enum class ReplacementKind { kLru, kBelady, kDualPinnedLru };
-
 class CachePolicy {
  public:
   virtual ~CachePolicy() = default;
@@ -64,14 +60,10 @@ class CachePolicy {
 
   /// True: aggregation runs the cached-subgraph machinery (evictions, γ,
   /// Rounds) over layout_order(). False: the on-demand pull engine runs
-  /// instead, with replacement() managing the input buffer.
+  /// instead; its input buffer's replacement discipline follows from
+  /// kind() — LRU (on-demand), pinned hubs plus LRU (dual-cache) or Belady
+  /// (belady-oracle), each the src/cache buffer its trace replay runs.
   virtual bool uses_subgraph_machinery() const = 0;
-
-  /// How the on-demand engine replaces buffer entries when
-  /// uses_subgraph_machinery() is false. LRU is the HyGCN baseline;
-  /// kBelady replays perfect future knowledge; kDualPinnedLru pins a hub
-  /// region and runs LRU over the rest.
-  virtual ReplacementKind replacement() const { return ReplacementKind::kLru; }
 
   /// DRAM layout = processing order: order[i] is the vertex fetched i-th.
   /// Every policy returns a full permutation of [0, |V|): for on-demand

@@ -38,9 +38,9 @@ struct OptimizationFlags {
 struct CacheConfig {
   /// Eviction threshold γ: a cached vertex with fewer than γ unprocessed
   /// edges is an eviction candidate (§VI; the paper uses a static γ = 5).
+  /// On deadlock γ escalates for one relief pulse (the paper's proposed
+  /// fallback), then returns to this value.
   std::uint32_t gamma = 5;
-  /// Dynamic γ escalation on deadlock (the paper's proposed fallback).
-  bool dynamic_gamma = true;
   /// Max replacements per iteration, as a fraction of cache capacity.
   double replacement_fraction = 0.125;
   /// Vertices per DRAM cache block (fully-processed blocks are skipped on

@@ -378,29 +378,41 @@ std::uint64_t reference_belady_fetches(const cache::AccessTrace& trace,
   return fetches;
 }
 
-/// Pinned-LRU fetch count over a recency list (pinned may be empty).
-std::uint64_t reference_pinned_lru_fetches(const cache::AccessTrace& trace,
-                                           std::uint64_t capacity,
-                                           const std::vector<VertexId>& pinned) {
+/// Per-access hits of a pinned-LRU buffer over a recency list (pinned may
+/// be empty).
+std::vector<bool> reference_pinned_lru_hits(const cache::AccessTrace& trace,
+                                            std::uint64_t capacity,
+                                            const std::vector<VertexId>& pinned) {
   std::vector<bool> is_pinned(trace.vertex_count, false);
   for (VertexId v : pinned) is_pinned[v] = true;
   const std::uint64_t lru_capacity = capacity - pinned.size();
-  std::uint64_t fetches = pinned.size();
+  std::vector<bool> hits;
   std::vector<VertexId> recency;  // front = most recently used
   for (VertexId v : trace.accesses) {
-    if (is_pinned[v]) continue;
+    if (is_pinned[v]) {
+      hits.push_back(true);
+      continue;
+    }
     const auto it = std::find(recency.begin(), recency.end(), v);
+    hits.push_back(it != recency.end());
     if (it != recency.end()) {
       recency.erase(it);
       recency.insert(recency.begin(), v);
       continue;
     }
-    ++fetches;
     if (lru_capacity == 0) continue;
     if (recency.size() >= lru_capacity) recency.pop_back();
     recency.insert(recency.begin(), v);
   }
-  return fetches;
+  return hits;
+}
+
+/// Pinned-LRU fetch count: one per preload plus one per miss.
+std::uint64_t reference_pinned_lru_fetches(const cache::AccessTrace& trace,
+                                           std::uint64_t capacity,
+                                           const std::vector<VertexId>& pinned) {
+  const std::vector<bool> hits = reference_pinned_lru_hits(trace, capacity, pinned);
+  return pinned.size() + static_cast<std::uint64_t>(std::count(hits.begin(), hits.end(), false));
 }
 
 struct ReplayCase {
@@ -524,9 +536,29 @@ TEST(ReplayProperties, LruReplaysMatchReferenceLoops) {
         EXPECT_EQ(cache::replay_pinned_lru(c.trace, capacity, pins).fetches,
                   reference_pinned_lru_fetches(c.trace, capacity, pins))
             << c.name << " capacity " << capacity << " pinned " << pinned;
+        // The buffer itself, access by access ("all" pinned leaves a
+        // zero-slot fill region).
+        const std::vector<bool> want = reference_pinned_lru_hits(c.trace, capacity, pins);
+        cache::PinnedLruBuffer buffer(c.trace.vertex_count, capacity, pins);
+        for (std::size_t i = 0; i < c.trace.accesses.size(); ++i) {
+          ASSERT_EQ(buffer.access(c.trace.accesses[i]), want[i])
+              << c.name << " capacity " << capacity << " pinned " << pinned << " access " << i;
+        }
       }
     }
   }
+}
+
+TEST(ReplayProperties, PinnedLruBufferRejectsBadPins) {
+  const std::vector<VertexId> none;
+  const std::vector<VertexId> three = {0, 1, 2};
+  const std::vector<VertexId> out_of_range = {0, 4};
+  const std::vector<VertexId> duplicate = {1, 1};
+  EXPECT_THROW(cache::PinnedLruBuffer(4, 0, none), std::invalid_argument);
+  EXPECT_THROW(cache::PinnedLruBuffer(4, 2, three), std::invalid_argument);
+  EXPECT_THROW(cache::PinnedLruBuffer(4, 2, out_of_range), std::invalid_argument);
+  EXPECT_THROW(cache::PinnedLruBuffer(4, 2, duplicate), std::invalid_argument);
+  EXPECT_NO_THROW(cache::PinnedLruBuffer(4, 2, std::vector<VertexId>{3, 0}));
 }
 
 // ---- Engine ↔ replay consistency -------------------------------------------
